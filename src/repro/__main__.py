@@ -27,21 +27,26 @@ Eight commands mirror the attacker workflow on the simulated platform:
   trace store, with the customary |t| > 4.5 leakage verdict;
 * ``tvla``   — the non-specific fixed-vs-random TVLA: interleaved capture
   of the two populations straight off the platform (no pre-existing
-  store needed), a streaming Welch-t verdict, and ``--grid`` to sweep
-  the built-in countermeasure matrix (baseline, shuffling, RD+jitter,
-  first- and second-order masking) in one command.
+  store needed) in deterministically seeded shards (``--workers N`` runs
+  them over a process pool, default 1 inline; the verdict does not
+  depend on N), a merged Welch-t verdict, and ``--grid`` to sweep the
+  built-in countermeasure matrix (baseline, shuffling, RD+jitter, first-
+  and second-order masking) in one command.
 
 The capture countermeasures stack via ``--countermeasure`` (``shuffle``,
 ``jitter``/``jitter-N``, comma-separated, on top of ``--rd``) and
 ``--masking-order 2`` for the three-share masked AES datapath.
 
-Parallel campaigns (``campaign``/``tvla`` with ``--workers``) are fault
+Sharded runs (``campaign --workers N`` and every ``tvla``) are fault
 tolerant: failed shards retry with exponential backoff (``--max-retries``
 / ``--retry-backoff``), hung shards are cancelled by the ``--shard-timeout``
 watchdog, and a run whose shards exhaust their retries exits 3 with a
 partial result over the merged prefix (exit 4 when no shard completed at
-all; re-running the same command resumes just the missing work).
-``--status`` prints the campaign journal kept under ``--store``.
+all; re-running the same command resumes just the missing work).  A
+``--store`` captured under another configuration (capture mode,
+countermeasure, seed, key or segment length) exits 2 before any shard
+runs.  ``--status`` prints the campaign journal kept under ``--store``;
+for ``tvla`` the retry flags and ``--status`` need no ``--workers``.
 """
 
 from __future__ import annotations
@@ -214,15 +219,16 @@ def _add_fault_tolerance_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--max-retries", type=int, default=None,
         help="failed-shard retry budget before the campaign degrades to a "
-             "partial result (default 2; only with --workers)")
+             "partial result (default 2; sharded runs: campaign --workers, "
+             "any tvla)")
     parser.add_argument(
         "--retry-backoff", type=float, default=None,
         help="base seconds of exponential per-shard retry backoff "
-             "(default 0.5; only with --workers)")
+             "(default 0.5; sharded runs only)")
     parser.add_argument(
         "--shard-timeout", type=float, default=None,
         help="per-shard wall-clock watchdog in seconds; hung shards are "
-             "cancelled and requeued (only with --workers)")
+             "cancelled and requeued (sharded runs only)")
     parser.add_argument(
         "--status", action="store_true",
         help="report the campaign journal under --store and exit")
@@ -512,8 +518,8 @@ def _campaign_status(store) -> int:
     except FileNotFoundError:
         if (root / "manifest.json").exists():
             print(f"{store} holds a serial trace store (no journal); "
-                  f"journals are written by parallel campaigns (--workers)",
-                  file=sys.stderr)
+                  f"journals are written by sharded runs (campaign "
+                  f"--workers, tvla)", file=sys.stderr)
         else:
             print(f"no campaign journal under {store}", file=sys.stderr)
         return 2
@@ -811,16 +817,15 @@ _TVLA_GRID = (
 
 def _run_tvla_grid(args: argparse.Namespace) -> int:
     """``repro tvla --grid``: the built-in countermeasure verdict table."""
-    from repro.evaluation import ParallelTvlaCampaign, TvlaCampaign
+    from repro.evaluation import ParallelTvlaCampaign
     from repro.soc.platform import PlatformSpec
 
     if args.store is not None or args.output is not None:
         print("--store/--output are per-configuration; run grid entries "
               "individually to persist them", file=sys.stderr)
         return 2
-    suffix = "" if args.workers is None else f", {args.workers} workers"
-    print(f"tvla grid: {len(_TVLA_GRID)} configurations, "
-          f"{args.traces} traces per population{suffix}")
+    print(f"tvla grid x{args.workers}: {len(_TVLA_GRID)} configurations, "
+          f"{args.traces} traces per population")
     for cipher, rd, shuffle, jitter, order in _TVLA_GRID:
         spec = PlatformSpec(
             cipher_name=cipher, max_delay=rd, noise_std=args.noise_std,
@@ -829,15 +834,10 @@ def _run_tvla_grid(args: argparse.Namespace) -> int:
             capture_mode="exact" if jitter else args.capture_mode,
             shuffle=shuffle, jitter=jitter, masking_order=order,
         )
-        if args.workers is not None:
-            campaign = ParallelTvlaCampaign(
-                spec, seed=args.seed, workers=args.workers,
-                shard_size=args.shard_size, batch_size=args.batch_size,
-            )
-        else:
-            campaign = TvlaCampaign(
-                spec, seed=args.seed, batch_size=args.batch_size,
-            )
+        campaign = ParallelTvlaCampaign(
+            spec, seed=args.seed, workers=args.workers,
+            shard_size=args.shard_size, batch_size=args.batch_size,
+        )
         result = campaign.run(args.traces)
         print(f"  {cipher:>10}  {result.summary()}")
     return 0
@@ -845,7 +845,7 @@ def _run_tvla_grid(args: argparse.Namespace) -> int:
 
 def cmd_tvla(args: argparse.Namespace) -> int:
     """``repro tvla``: fixed-vs-random Welch-t leakage detection."""
-    from repro.evaluation import ParallelTvlaCampaign, TvlaCampaign
+    from repro.evaluation import ParallelTvlaCampaign
     from repro.soc.platform import PlatformSpec
 
     if args.status:
@@ -854,7 +854,7 @@ def cmd_tvla(args: argparse.Namespace) -> int:
     if args.traces < 2:
         print("--traces must be >= 2 (per population)", file=sys.stderr)
         return 2
-    if args.workers is not None and args.workers < 1:
+    if args.workers < 1:
         print("--workers must be >= 1", file=sys.stderr)
         return 2
     if args.shard_size < 1:
@@ -874,38 +874,25 @@ def cmd_tvla(args: argparse.Namespace) -> int:
         capture_mode=args.capture_mode, shuffle=shuffle, jitter=jitter,
         masking_order=args.masking_order,
     )
-    if args.workers is not None:
-        from repro.runtime.retry import ShardFailure
+    max_retries, retry_backoff, shard_timeout = fault_tolerance
+    try:
+        campaign = ParallelTvlaCampaign(
+            spec, seed=args.seed, workers=args.workers,
+            shard_size=args.shard_size,
+            segment_length=args.segment_length,
+            store_root=args.store, batch_size=args.batch_size,
+            max_retries=max_retries, retry_backoff=retry_backoff,
+            shard_timeout=shard_timeout,
+        )
+    except ValueError as error:
+        print(str(error), file=sys.stderr)
+        return 2
+    print(f"tvla x{args.workers}: {campaign.countermeasure_name} on "
+          f"{args.cipher}, {campaign.segment_length}-sample segments, "
+          f"{args.traces} traces per population in shards of "
+          f"{args.shard_size}")
 
-        max_retries, retry_backoff, shard_timeout = fault_tolerance
-        try:
-            campaign = ParallelTvlaCampaign(
-                spec, seed=args.seed, workers=args.workers,
-                shard_size=args.shard_size,
-                segment_length=args.segment_length,
-                store_root=args.store, batch_size=args.batch_size,
-                max_retries=max_retries, retry_backoff=retry_backoff,
-                shard_timeout=shard_timeout,
-            )
-        except ValueError as error:
-            print(str(error), file=sys.stderr)
-            return 2
-        print(f"tvla x{args.workers}: {campaign.countermeasure_name} on "
-              f"{args.cipher}, {campaign.segment_length}-sample segments, "
-              f"{args.traces} traces per population in shards of "
-              f"{args.shard_size}")
-        try:
-            result = campaign.run(args.traces, verbose=True)
-        except ShardFailure as failure:
-            tail = (f" (captured traces persist under {args.store})"
-                    if args.store is not None else "")
-            print(f"tvla campaign failed: {failure} — no shard completed; "
-                  f"re-run the same command to try again{tail}",
-                  file=sys.stderr)
-            return 4
-        except ValueError as error:
-            print(str(error), file=sys.stderr)
-            return 2
+    def report(result) -> int:
         if campaign.resumed_from:
             print(f"resumed {campaign.resumed_from} traces from the "
                   f"shard stores")
@@ -913,47 +900,45 @@ def cmd_tvla(args: argparse.Namespace) -> int:
         if args.output is not None:
             campaign.accumulator.save(args.output)
             print(f"t statistics saved to {args.output}")
-        if result.partial:
-            print(f"PARTIAL RESULT: shards {list(result.failed_shards)} "
-                  f"exhausted their retries; the verdict covers the merged "
-                  f"shard prefix only. Re-run the same command to retry "
-                  f"just the failed shards.", file=sys.stderr)
-            return 3
         return 0 if result.leakage_detected else 1
-    if args.store is not None:
-        from repro.runtime.parallel import is_shard_store_root
 
-        if is_shard_store_root(args.store):
-            print(f"{args.store} holds per-shard stores from a parallel "
-                  f"TVLA campaign; resume it with --workers",
-                  file=sys.stderr)
-            return 2
+    return _run_sharded(campaign, args, report)
+
+
+def _run_sharded(campaign, args: argparse.Namespace, report) -> int:
+    """Run a sharded campaign and ``report`` its result.
+
+    Exit codes on top of ``report``'s: 2 when the store root holds another
+    configuration, 3 for a partial run (some shards exhausted their
+    retries), 4 when no shard completed at all.
+    """
+    from repro.runtime.retry import ShardFailure
+
     try:
-        campaign = TvlaCampaign(
-            spec, seed=args.seed, segment_length=args.segment_length,
-            store_dir=args.store, batch_size=args.batch_size,
-        )
+        result = campaign.run(args.traces, verbose=True)
+    except ShardFailure as failure:
+        tail = (f" (captured traces persist under {args.store})"
+                if args.store is not None else "")
+        print(f"{args.command} failed: {failure} — no shard completed; "
+              f"re-run the same command to try again{tail}", file=sys.stderr)
+        return 4
     except ValueError as error:
         print(str(error), file=sys.stderr)
         return 2
-    if campaign.resumed_from:
-        print(f"resumed {campaign.resumed_from} traces from the store")
-    print(f"tvla: {campaign.countermeasure_name} on {args.cipher}, "
-          f"{campaign.segment_length}-sample segments, "
-          f"{args.traces} traces per population")
-    result = campaign.run(args.traces, verbose=True)
-    print(result.summary())
-    if args.output is not None:
-        campaign.accumulator.save(args.output)
-        print(f"t statistics saved to {args.output}")
-    return 0 if result.leakage_detected else 1
+    code = report(result)
+    if result.partial:
+        print(f"PARTIAL RESULT: shards {list(result.failed_shards)} "
+              f"exhausted their retries; the result covers the merged shard "
+              f"prefix only. Re-run the same command to retry just the "
+              f"failed shards.", file=sys.stderr)
+        return 3
+    return code
 
 
 def _report_campaign(result) -> int:
     """Shared campaign outcome report.
 
-    Exit codes: 0 once rank 1 was reached, 1 for an exhausted budget, 3
-    for a partial run (some shards exhausted their retries).
+    Exit codes: 0 once rank 1 was reached, 1 for an exhausted budget.
     """
     from repro.evaluation import format_campaign
 
@@ -963,12 +948,6 @@ def _report_campaign(result) -> int:
     print(f"true key      : {result.true_key.hex()}")
     print(f"recovered key : {result.recovered_key.hex()}")
     print(result.summary())
-    if result.partial:
-        print(f"PARTIAL RESULT: shards {list(result.failed_shards)} "
-              f"exhausted their retries; ranks cover the merged shard "
-              f"prefix only. Re-run the same command to retry just the "
-              f"failed shards.", file=sys.stderr)
-        return 3
     return 0 if result.traces_to_rank1 is not None else 1
 
 
@@ -977,7 +956,6 @@ def _run_parallel_campaign(
 ) -> int:
     """``repro campaign --workers N``: the sharded process-parallel path."""
     from repro.runtime.parallel import ParallelCampaign, PlatformCampaignSpec
-    from repro.runtime.retry import ShardFailure
 
     max_retries, retry_backoff, shard_timeout = fault_tolerance
     campaign_spec = PlatformCampaignSpec(
@@ -1008,15 +986,7 @@ def _run_parallel_campaign(
           f"<= {args.traces} traces")
     if args.store is not None:
         print(f"store root: {args.store} (one trace store per shard)")
-    try:
-        result = campaign.run(args.traces, verbose=True)
-    except ShardFailure as failure:
-        tail = (f" (captured traces persist under {args.store})"
-                if args.store is not None else "")
-        print(f"campaign failed: {failure} — no shard completed; re-run "
-              f"the same command to try again{tail}", file=sys.stderr)
-        return 4
-    return _report_campaign(result)
+    return _run_sharded(campaign, args, _report_campaign)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -1218,14 +1188,15 @@ def main(argv: list[str] | None = None) -> int:
                         help="run the built-in countermeasure grid (baseline, "
                              "shuffle, RD+jitter, masking order 1 and 2) "
                              "instead of one configuration")
-    p_tvla.add_argument("--workers", type=int, default=None,
-                        help="shard the capture over a process pool; at a "
-                             "fixed --shard-size the merged t map and "
-                             "verdict are identical for any worker count")
+    p_tvla.add_argument("--workers", type=int, default=1,
+                        help="process-pool width for the shards (default 1 "
+                             "runs them inline); at a fixed --shard-size "
+                             "the merged t map and verdict are identical "
+                             "for any worker count")
     p_tvla.add_argument("--shard-size", type=int, default=1024,
                         help="traces per population per shard — the unit "
                              "of parallel work and per-shard seed "
-                             "derivation (only with --workers)")
+                             "derivation (tvla is always sharded)")
     _add_fault_tolerance_options(p_tvla)
     _add_capture_mode_option(p_tvla)
     _add_countermeasure_options(p_tvla)

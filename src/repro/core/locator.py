@@ -324,9 +324,11 @@ class CryptoLocator:
 
         The default ``windowed`` engine scores standalone zero-padded
         windows exactly as the CNN saw them during training (and exactly as
-        Section III-C describes).  ``dense`` is tens of times faster but
-        feeds windows full-trace context, which costs accuracy when COs run
-        back to back (see the engine ablation benchmark).
+        Section III-C describes).  ``dense`` is faster — about 2.5-2.8x on
+        one session, ~7x batched over four (see
+        :mod:`repro.core.sliding_window`) — but feeds windows full-trace
+        context, which costs accuracy when COs run back to back (see the
+        engine ablation benchmark).
         """
         return self.locate_result(trace, method=method).starts
 

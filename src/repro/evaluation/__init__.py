@@ -29,7 +29,6 @@ from repro.evaluation.tvla import (
 )
 from repro.evaluation.parallel_tvla import (
     ParallelTvlaCampaign,
-    TvlaShardResult,
     run_tvla_shard,
 )
 
@@ -53,6 +52,5 @@ __all__ = [
     "TvlaResult",
     "WelchTAccumulator",
     "ParallelTvlaCampaign",
-    "TvlaShardResult",
     "run_tvla_shard",
 ]

@@ -18,59 +18,37 @@ by the parent (with the exact defaulting rules of the serial campaign)
 and passed to every shard explicitly, so shards cannot drift apart on
 derived configuration.
 
-Durability mirrors :class:`~repro.runtime.parallel.ParallelCampaign`: each
-shard persists to its own ``shard-NNNNNN`` trace-store directory under
-``store_root``, resume replays each shard directory into its worker's
-accumulator (capped at the shard's quota via ``replay_limit``, so stores
-captured under a larger budget do not splice extra traces in), and a
-serial single-store directory is refused rather than silently recaptured
-next to.  Fault tolerance mirrors it too: shards retry with backoff
-through :class:`~repro.runtime.retry.ShardExecutor` (bit-identical by
-the deterministic-reseed property), corrupt shard stores are quarantined
-and re-captured on resume, and exhausted retries degrade to a
-``partial=True`` verdict over the completed shard prefix with the run
-journalled under ``store_root``.
+Durability and fault tolerance are the attack campaigns': both dispatch
+through :func:`~repro.runtime.retry.run_shards`.  Each shard persists to
+its own ``shard-NNNNNN`` trace-store directory under ``store_root``,
+resume replays each shard directory into its worker's accumulator
+(capped at the shard's quota via ``replay_limit``, so stores captured
+under a larger budget do not splice extra traces in), shards retry with
+backoff (bit-identical by the deterministic-reseed property), corrupt
+shard stores are quarantined and re-captured on resume, and exhausted
+retries degrade to a ``partial=True`` verdict over the completed shard
+prefix with the run journalled under ``store_root``.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
-from pathlib import Path
-
-import numpy as np
 
 from repro.attacks.assessment import TVLA_THRESHOLD
 from repro.evaluation.tvla import TvlaCampaign, TvlaResult, WelchTAccumulator
-from repro.runtime.journal import CampaignJournal
 from repro.runtime.parallel import (
+    ShardResult,
     ShardSpec,
-    _recover_store_dir,
+    _recover_shard_dir,
     plan_shards,
 )
-from repro.runtime.retry import RetryPolicy, ShardExecutor, ShardFailure
+from repro.runtime.retry import RetryPolicy, run_shards
 from repro.soc.platform import PlatformSpec
 
 __all__ = [
     "ParallelTvlaCampaign",
-    "TvlaShardResult",
     "run_tvla_shard",
 ]
-
-
-@dataclass
-class TvlaShardResult:
-    """What one TVLA shard worker ships back to the merging parent."""
-
-    index: int
-    accumulator: WelchTAccumulator
-    replayed: int
-    capture_seconds: float
-    quarantined: int = 0        # corrupt files quarantined before resume
-
-
-def _shard_store_dir(store_root, index: int) -> Path:
-    return Path(store_root) / f"shard-{index:06d}"
 
 
 def run_tvla_shard(
@@ -84,7 +62,7 @@ def run_tvla_shard(
     nop_header: int = 96,
     threshold: float = TVLA_THRESHOLD,
     fault_plan=None,
-) -> TvlaShardResult:
+) -> ShardResult:
     """Capture (or resume) one shard's fixed+random populations.
 
     The shard is a complete :class:`TvlaCampaign` seeded with the shard's
@@ -98,11 +76,10 @@ def run_tvla_shard(
     store_dir = None
     quarantined = 0
     if store_root is not None:
-        store_dir = _shard_store_dir(store_root, shard.index)
         # Recover before the campaign opens the store: an unparseable
         # manifest quarantines the whole directory, which open_or_create
         # could not survive.
-        quarantined = _recover_store_dir(store_dir)
+        store_dir, quarantined = _recover_shard_dir(store_root, shard.index)
     campaign = TvlaCampaign(
         spec,
         seed=shard.seed_sequence,
@@ -121,7 +98,7 @@ def run_tvla_shard(
         )
     begin = time.perf_counter()
     campaign.capture(shard.count)
-    return TvlaShardResult(
+    return ShardResult(
         index=shard.index,
         accumulator=campaign.accumulator,
         replayed=campaign.resumed_from,
@@ -205,118 +182,68 @@ class ParallelTvlaCampaign:
         self.countermeasure_name = probe.countermeasure_name
         self.accumulator = WelchTAccumulator(threshold=self.threshold)
         self.resumed_from = 0
-        self.partial = False
-        self.failed_shards: tuple[int, ...] = ()
 
     def run(self, n_per_group: int, verbose: bool = False) -> TvlaResult:
         """Capture until both merged populations hold ``n_per_group``.
 
-        Failed shards retry through the campaign's
-        :class:`~repro.runtime.retry.RetryPolicy`; a shard that exhausts
-        its retries degrades the run to a ``partial=True`` verdict over
-        the completed shard prefix (the
-        :class:`~repro.runtime.retry.ShardFailure` propagates instead
-        when the prefix holds fewer than two traces per population — no
-        t-statistic exists to report).
+        Shards run through :func:`~repro.runtime.retry.run_shards`, one
+        rung at the budget.  A shard that exhausts its retries degrades
+        the run to a ``partial=True`` verdict over the completed shard
+        prefix (the :class:`~repro.runtime.retry.ShardFailure` propagates
+        instead when the prefix holds fewer than two traces per
+        population — no t-statistic exists to report).
         """
         if n_per_group < 2:
             raise ValueError("n_per_group must be >= 2")
-        journal = None
-        if self.store_root is not None:
-            if (Path(self.store_root) / "manifest.json").exists():
-                raise ValueError(
-                    f"{self.store_root} holds a single serial TraceStore; "
-                    f"resume it without workers, or point the parallel "
-                    f"campaign at a fresh directory"
-                )
-            Path(self.store_root).mkdir(parents=True, exist_ok=True)
-            journal = CampaignJournal.open_or_create(
-                self.store_root, "parallel_tvla",
-                meta={
-                    "seed": self.seed,
-                    "shard_size": self.shard_size,
-                    "countermeasure": self.countermeasure_name,
-                },
-            )
-        shards = plan_shards(self.seed, n_per_group, self.shard_size)
-        if journal is not None:
-            journal.begin(len(shards))
-
-        def on_event(index: int, state: str, retries: int) -> None:
-            if journal is not None:
-                journal.update_shard(index, state)
-            if verbose and state in ("retrying", "failed"):
-                print(
-                    f"[tvla x{self.workers}] shard {index} {state} "
-                    f"(retries {retries})"
-                )
-
-        executor = ShardExecutor(
-            workers=self.workers, policy=self.retry_policy, on_event=on_event
-        )
         accumulator = WelchTAccumulator(threshold=self.threshold)
         resumed = 0
-        capture_seconds = 0.0
-        failures: list[ShardFailure] = []
-        try:
-            for shard in shards:
-                executor.submit(
-                    shard.index, run_tvla_shard, self.spec, shard,
-                    self.fixed_plaintext, self.key, self.segment_length,
-                    self.store_root, self.batch_size, self.nop_header,
-                    self.threshold, self.fault_plan,
+
+        def merge(result: ShardResult) -> None:
+            nonlocal resumed
+            accumulator.merge(result.accumulator)
+            resumed += result.replayed
+            if verbose:
+                print(
+                    f"[tvla x{self.workers}] shard {result.index}: "
+                    f"{result.accumulator.n_fixed} fixed / "
+                    f"{result.accumulator.n_random} random"
                 )
-            for shard in shards:
-                try:
-                    result = executor.result(shard.index)
-                except ShardFailure as failure:
-                    failures.append(failure)
-                    break
-                accumulator.merge(result.accumulator)
-                resumed += result.replayed
-                capture_seconds += result.capture_seconds
-                if journal is not None and result.quarantined:
-                    journal.update_shard(shard.index, "done", quarantined=True)
-                if verbose:
-                    print(
-                        f"[tvla x{self.workers}] shard {result.index}: "
-                        f"{result.accumulator.n_fixed} fixed / "
-                        f"{result.accumulator.n_random} random"
-                    )
-        except BaseException:
-            # Interrupt / unexpected error: terminate workers outright so
-            # no zombie keeps capturing after the parent unwinds.
-            if journal is not None:
-                journal.set_phase("interrupted")
-            executor.close(force=True)
-            raise
-        executor.close(force=bool(failures))
-        partial = bool(failures)
-        if partial and (accumulator.n_fixed < 2 or accumulator.n_random < 2):
-            if journal is not None:
-                journal.set_phase("failed")
-            raise failures[0]
+
+        run = run_shards(
+            [
+                (run_tvla_shard, self.spec, shard, self.fixed_plaintext,
+                 self.key, self.segment_length, self.store_root,
+                 self.batch_size, self.nop_header, self.threshold,
+                 self.fault_plan)
+                for shard in plan_shards(self.seed, n_per_group,
+                                         self.shard_size)
+            ],
+            merge,
+            workers=self.workers,
+            policy=self.retry_policy,
+            # Two traces per population before a t-statistic exists.
+            min_merged=-(-2 // self.shard_size),
+            store_root=self.store_root,
+            kind="parallel_tvla",
+            meta={
+                "seed": self.seed,
+                "shard_size": self.shard_size,
+                "countermeasure": self.countermeasure_name,
+            },
+            config={
+                "n_samples": self.segment_length,
+                "key": self.key,
+                "fixed_plaintext": self.fixed_plaintext.hex(),
+                "countermeasure": self.countermeasure_name,
+                "capture_mode": self.spec.capture_mode,
+            },
+            label=f"tvla x{self.workers}",
+            verbose=verbose,
+        )
         self.accumulator = accumulator
         self.resumed_from = resumed
-        self.capture_seconds = capture_seconds
-        self.partial = partial
-        self.failed_shards = tuple(f.index for f in failures)
-        if journal is not None:
-            journal.set_phase("partial" if partial else "complete")
-        return self.result()
-
-    def result(self) -> TvlaResult:
-        """The verdict over everything merged so far."""
-        t = self.accumulator.t()
-        max_abs_t = float(np.abs(t).max())
-        return TvlaResult(
-            t=t,
-            max_abs_t=max_abs_t,
-            threshold=self.accumulator.threshold,
-            leakage_detected=max_abs_t > self.accumulator.threshold,
-            n_fixed=self.accumulator.n_fixed,
-            n_random=self.accumulator.n_random,
-            countermeasure=self.countermeasure_name,
-            partial=self.partial,
-            failed_shards=self.failed_shards,
+        return TvlaResult.of(
+            accumulator, self.countermeasure_name, partial=run.partial,
+            failed_shards=run.failed_shards, retries=run.retries,
+            pool_rebuilds=run.pool_rebuilds,
         )

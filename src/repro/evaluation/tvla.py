@@ -224,6 +224,25 @@ class TvlaResult:
     countermeasure: str
     partial: bool = False           # some shards exhausted their retries
     failed_shards: tuple[int, ...] = ()
+    retries: int = 0                # shard retries spent across the run
+    pool_rebuilds: int = 0          # process pools replaced across the run
+
+    @classmethod
+    def of(cls, accumulator: WelchTAccumulator, countermeasure: str,
+           **extra) -> "TvlaResult":
+        """The verdict over everything ``accumulator`` holds."""
+        t = accumulator.t()
+        max_abs_t = float(np.abs(t).max())
+        return cls(
+            t=t,
+            max_abs_t=max_abs_t,
+            threshold=accumulator.threshold,
+            leakage_detected=max_abs_t > accumulator.threshold,
+            n_fixed=accumulator.n_fixed,
+            n_random=accumulator.n_random,
+            countermeasure=countermeasure,
+            **extra,
+        )
 
     def summary(self) -> str:
         verdict = "LEAKS" if self.leakage_detected else "passes"
@@ -506,17 +525,7 @@ class TvlaCampaign:
 
     def result(self) -> TvlaResult:
         """The verdict over everything accumulated so far."""
-        t = self.accumulator.t()
-        max_abs_t = float(np.abs(t).max())
-        return TvlaResult(
-            t=t,
-            max_abs_t=max_abs_t,
-            threshold=self.accumulator.threshold,
-            leakage_detected=max_abs_t > self.accumulator.threshold,
-            n_fixed=self.accumulator.n_fixed,
-            n_random=self.accumulator.n_random,
-            countermeasure=self.countermeasure_name,
-        )
+        return TvlaResult.of(self.accumulator, self.countermeasure_name)
 
     def store_meta(self) -> dict:
         """The metadata a durable TVLA store should be created with."""

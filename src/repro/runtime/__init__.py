@@ -31,6 +31,8 @@ accumulate shards in parallel processes, and the parent merges the
 additive sufficient statistics at shard-aligned rank checkpoints —
 bit-identical results regardless of the worker count.
 
+Every sharded fan-out — parallel campaigns, sharded TVLA and GE curves —
+goes through one loop, :func:`~repro.runtime.retry.run_shards`.
 Execution is fault tolerant: :class:`~repro.runtime.retry.ShardExecutor`
 retries failed shards with exponential backoff (re-captures are
 bit-identical by the deterministic-reseed property), rebuilds broken

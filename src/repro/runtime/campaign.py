@@ -156,6 +156,7 @@ class CampaignResult:
     partial: bool = False           # some shards exhausted their retries
     failed_shards: tuple[int, ...] = ()
     retries: int = 0                # shard retries spent across the run
+    pool_rebuilds: int = 0          # process pools replaced across the run
 
     @property
     def key_recovered(self) -> bool:

@@ -41,6 +41,7 @@ from repro.runtime.parallel import (
     is_shard_store_root,
 )
 from repro.runtime.plan import BatchPlan, ScenarioSpec
+from repro.runtime.retry import run_shards
 from repro.soc.platform import PlatformSpec
 
 __all__ = ["ExperimentEngine", "ScenarioResult"]
@@ -426,14 +427,19 @@ class ExperimentEngine:
         (pass ``accumulator`` to continue one from earlier repetitions,
         e.g. a loaded checkpoint); the accumulator is returned.
 
-        Repetitions are independent streams, so ``workers > 1`` fans them
-        over a process pool — the accumulator still folds the records in
-        repetition order, making the curve identical to the serial run's.
-        The ``distinguisher`` must then be picklable (``None``, a registry
-        name, or a ``DistinguisherSpec``), not a live accumulator.
+        Repetitions are independent streams, dispatched as one-rung shards
+        through :func:`~repro.runtime.retry.run_shards` (``workers > 1``
+        fans them over a process pool, with the same retry, watchdog and
+        interrupt cleanup as the sharded campaigns); the accumulator
+        folds the records in repetition order, so the curve does not
+        depend on ``workers``.  A repetition that exhausts its retries
+        raises its :class:`~repro.runtime.retry.ShardFailure`.  The
+        ``distinguisher`` must be picklable (``None``, a registry name, or
+        a ``DistinguisherSpec``), not a live accumulator.
         """
         from dataclasses import replace
 
+        from repro.attacks.distinguishers import resolve_distinguisher
         from repro.attacks.key_rank import geometric_checkpoints
         from repro.evaluation.ge_curves import (
             GuessingEntropyAccumulator,
@@ -443,54 +449,33 @@ class ExperimentEngine:
             raise ValueError("repetitions must be >= 1")
         if workers < 1:
             raise ValueError("workers must be >= 1")
+        distinguisher, _ = resolve_distinguisher(
+            distinguisher, aggregate=aggregate
+        )
+        if distinguisher is None:
+            raise TypeError(
+                "run_ge_curve needs a picklable DistinguisherSpec (or a "
+                "registry name), not a live accumulator — every repetition "
+                "builds its own"
+            )
         ladder = geometric_checkpoints(
             max_traces, first=first_checkpoint, growth=checkpoint_growth
         )
         ge = accumulator if accumulator is not None \
             else GuessingEntropyAccumulator()
-        if workers > 1:
-            from concurrent.futures import ProcessPoolExecutor
-
-            from repro.attacks.distinguishers import resolve_distinguisher
-            from repro.runtime.parallel import _pool_context
-
-            spec_or_none, _ = resolve_distinguisher(
-                distinguisher, aggregate=aggregate
-            )
-            if spec_or_none is None:
-                raise TypeError(
-                    "run_ge_curve(workers=...) needs a picklable "
-                    "DistinguisherSpec (or a registry name), not a live "
-                    "accumulator — pool workers rebuild their own"
-                )
-            with ProcessPoolExecutor(
-                max_workers=workers, mp_context=_pool_context()
-            ) as pool:
-                futures = [
-                    pool.submit(
-                        _ge_repetition,
-                        self.platform_spec_for(replace(spec, seed=spec.seed + rep)),
-                        spec.seed + rep, segment_length, batch_size, ladder,
-                        aggregate, spec_or_none, max_traces,
-                    )
-                    for rep in range(repetitions)
-                ]
-                for rep, future in enumerate(futures):
-                    if self.verbose:
-                        print(f"[engine] ge repetition {rep + 1}/"
-                              f"{repetitions} (seed {spec.seed + rep}) ...")
-                    ge.update(future.result())
-            return ge
-        for rep in range(repetitions):
-            rep_spec = replace(spec, seed=spec.seed + rep)
-            if self.verbose:
-                print(f"[engine] ge repetition {rep + 1}/{repetitions} "
-                      f"(seed {rep_spec.seed}) ...")
-            ge.update(_ge_repetition(
-                self.platform_spec_for(rep_spec), rep_spec.seed,
-                segment_length, batch_size, ladder, aggregate,
-                distinguisher, max_traces,
-            ))
+        run_shards(
+            [
+                (_ge_repetition, self.platform_spec_for(replace(spec, seed=seed)),
+                 seed, segment_length, batch_size, ladder, aggregate,
+                 distinguisher, max_traces)
+                for seed in range(spec.seed, spec.seed + repetitions)
+            ],
+            ge.update,
+            workers=workers,
+            min_merged=repetitions,
+            label="ge",
+            verbose=self.verbose,
+        )
         return ge
 
     def run_campaigns(

@@ -1,7 +1,9 @@
 """Crash-safe campaign state journal.
 
 A :class:`CampaignJournal` is a small JSON document under a campaign's
-``store_root`` recording the campaign phase and the lifecycle state of
+``store_root`` recording the campaign phase (``capturing``, then one of
+``converged`` / ``exhausted`` / ``complete`` / ``partial`` / ``failed`` /
+``interrupted``), the run's pool rebuilds, and the lifecycle state of
 every shard (``queued`` → ``capturing`` → ``retrying``* → ``done`` /
 ``failed`` / ``quarantined``).  Every mutation rewrites the file through
 :func:`~repro.campaign.store.atomic_write_json`, so a crash at any point
@@ -24,17 +26,6 @@ __all__ = ["CampaignJournal"]
 
 _JOURNAL = "journal.json"
 _VERSION = 1
-
-#: Terminal campaign phases, for humans reading ``describe()`` output.
-_PHASES = (
-    "capturing",
-    "converged",
-    "exhausted",
-    "complete",
-    "partial",
-    "failed",
-    "interrupted",
-)
 
 
 class CampaignJournal:
@@ -101,6 +92,7 @@ class CampaignJournal:
     def begin(self, total_shards: int) -> None:
         """Reset to a fresh run over ``total_shards`` queued shards."""
         self._state["phase"] = "capturing"
+        self._state["pool_rebuilds"] = 0
         self._state["shards"] = {
             str(index): {"state": "queued"} for index in range(int(total_shards))
         }
@@ -114,8 +106,10 @@ class CampaignJournal:
         entry.update(attrs)
         self._write()
 
-    def set_phase(self, phase: str) -> None:
+    def set_phase(self, phase: str, pool_rebuilds: int = 0) -> None:
+        """Record the campaign phase and the run's process-pool rebuilds."""
         self._state["phase"] = phase
+        self._state["pool_rebuilds"] = int(pool_rebuilds)
         self._write()
 
     def _write(self) -> None:
@@ -130,6 +124,10 @@ class CampaignJournal:
     @property
     def phase(self) -> str:
         return self._state["phase"]
+
+    @property
+    def pool_rebuilds(self) -> int:
+        return int(self._state.get("pool_rebuilds", 0))
 
     @property
     def meta(self) -> dict:
@@ -164,6 +162,8 @@ class CampaignJournal:
         if retried:
             total = sum(shards[i].get("retries", 0) for i in retried)
             lines.append(f"retries:  {total} (shards {retried})")
+        if self.pool_rebuilds:
+            lines.append(f"pool rebuilds: {self.pool_rebuilds}")
         failed = sorted(i for i, e in shards.items() if e["state"] == "failed")
         if failed:
             lines.append(f"failed shards: {failed}")

@@ -74,13 +74,7 @@ from repro.runtime.campaign import (
     extends_streak,
     streak_start,
 )
-from repro.runtime.journal import CampaignJournal
-from repro.runtime.retry import (
-    RetryPolicy,
-    ShardExecutor,
-    ShardFailure,
-    pool_context as _pool_context,
-)
+from repro.runtime.retry import RetryPolicy, run_shards
 from repro.soc.platform import PlatformSpec
 
 __all__ = [
@@ -373,17 +367,19 @@ class ShardedSegmentSource:
 
 @dataclass
 class ShardResult:
-    """What one shard worker ships back to the merging parent."""
+    """What one shard worker ships back to the merging parent.
+
+    ``accumulator`` is the shard's mergeable statistic: a
+    :class:`~repro.attacks.distinguishers.Distinguisher` for attack
+    campaigns, a :class:`~repro.evaluation.tvla.WelchTAccumulator` for
+    TVLA.
+    """
 
     index: int
     accumulator: Distinguisher
     replayed: int               # traces replayed from the shard's store
     capture_seconds: float
     quarantined: int = 0        # corrupt files quarantined before resume
-
-
-def _shard_store_dir(store_root, index: int) -> Path:
-    return Path(store_root) / f"shard-{index:06d}"
 
 
 def _quarantine_store_dir(store_dir: Path) -> Path:
@@ -397,23 +393,24 @@ def _quarantine_store_dir(store_dir: Path) -> Path:
     return target
 
 
-def _recover_store_dir(store_dir: Path) -> int:
-    """Integrity-check an existing shard store before it is resumed.
+def _recover_shard_dir(store_root, index: int) -> tuple[Path, int]:
+    """Shard ``index``'s store directory, integrity-checked for resume.
 
     Corrupt or orphaned payload files are quarantined (the manifest is
     truncated to its intact prefix, so the shard re-captures exactly the
     dropped tail); a manifest too damaged to parse quarantines the whole
-    directory and the shard re-captures from scratch.  Returns the count
-    of quarantined files.
+    directory and the shard re-captures from scratch.  Returns the
+    directory and the count of quarantined files.
     """
+    store_dir = Path(store_root) / f"shard-{index:06d}"
     if not (store_dir / "manifest.json").exists():
-        return 0
+        return store_dir, 0
     try:
         store = TraceStore.open(store_dir)
     except CorruptManifestError:
         _quarantine_store_dir(store_dir)
-        return 1
-    return len(store.recover().quarantined)
+        return store_dir, 1
+    return store_dir, len(store.recover().quarantined)
 
 
 def is_shard_store_root(path) -> bool:
@@ -465,8 +462,7 @@ def run_shard(
     replayed = 0
     quarantined = 0
     if store_root is not None:
-        store_dir = _shard_store_dir(store_root, shard.index)
-        quarantined = _recover_store_dir(store_dir)
+        store_dir, quarantined = _recover_shard_dir(store_root, shard.index)
         store = TraceStore.open_or_create(
             store_dir,
             n_samples=spec.n_samples,
@@ -649,154 +645,88 @@ class ParallelCampaign:
         capture timers (it can exceed wall clock when workers overlap);
         ``attack_seconds`` is the parent's merge + rank-evaluation time.
 
-        A shard that fails every retry ends the run over the merged shard
-        prefix with ``partial=True`` (evaluated as a final checkpoint when
-        large enough); if not even the first shard completed, the
-        :class:`~repro.runtime.retry.ShardFailure` propagates instead.  On
-        any other exception — including ``KeyboardInterrupt`` — worker
-        processes are terminated outright so no zombie keeps capturing
-        after the parent dies.
+        Shards run through :func:`~repro.runtime.retry.run_shards`, one
+        rung per ladder checkpoint.  A shard that fails every retry ends
+        the run over the merged shard prefix with ``partial=True``
+        (evaluated as a final checkpoint when large enough); if not even
+        the first shard completed, the
+        :class:`~repro.runtime.retry.ShardFailure` propagates instead.
         """
         if max_traces < self._min_traces:
             raise ValueError(f"max_traces must be >= {self._min_traces}")
-        journal = None
-        if self.store_root is not None:
-            if (Path(self.store_root) / "manifest.json").exists():
-                raise ValueError(
-                    f"{self.store_root} holds a single serial TraceStore; "
-                    f"resume it without workers, or point the parallel "
-                    f"campaign at a fresh directory"
-                )
-            Path(self.store_root).mkdir(parents=True, exist_ok=True)
-            journal = CampaignJournal.open_or_create(
-                self.store_root, "parallel_campaign",
-                meta={
-                    "seed": self.seed,
-                    "shard_size": self.shard_size,
-                    "distinguisher": self.distinguisher_spec.name,
-                },
-            )
-        shards = plan_shards(self.seed, max_traces, self.shard_size)
-        if journal is not None:
-            journal.begin(len(shards))
-        ladder = self.checkpoints(max_traces)
         accumulator = self.accumulator = self.distinguisher_spec.build()
         records: list[CheckpointRecord] = []
         streak = 0
-        stopped = False
-        merged = 0                  # shards merged so far
-        n = 0                       # traces merged so far
         resumed = 0
-        quarantined = 0
         capture_seconds = 0.0
         attack_seconds = 0.0
-        failures: list[ShardFailure] = []
 
-        def on_event(index: int, state: str, retries: int) -> None:
-            if journal is not None:
-                journal.update_shard(index, state)
-            if verbose and state in ("retrying", "failed"):
-                print(
-                    f"[parallel x{self.workers}] shard {index} {state} "
-                    f"(retries {retries})"
-                )
+        def merge(result: ShardResult) -> None:
+            nonlocal resumed, capture_seconds, attack_seconds
+            begin = time.perf_counter()
+            accumulator.merge(result.accumulator)
+            attack_seconds += time.perf_counter() - begin
+            resumed += result.replayed
+            capture_seconds += result.capture_seconds
 
-        executor = ShardExecutor(
-            workers=self.workers, policy=self.retry_policy, on_event=on_event
-        )
-        submitted = 0
-        try:
-            for target in ladder:
-                needed = -(-target // self.shard_size)   # ceil
-                # Keep the pool saturated past the current rung: the
-                # early geometric rungs need fewer shards than there
-                # are workers, and shard streams are deterministic, so
-                # capturing ahead changes nothing but wall clock (at
-                # worst `workers - 1` shards are wasted on early stop).
-                horizon = min(len(shards), needed + self.workers - 1)
-                for shard in shards[submitted:horizon]:
-                    executor.submit(
-                        shard.index, run_shard, self.spec, shard,
-                        self.store_root, self.aggregate, self.batch_size,
-                        self.distinguisher_spec, self.fault_plan,
-                    )
-                submitted = max(submitted, horizon)
-                for shard in shards[merged:needed]:
-                    try:
-                        result = executor.result(shard.index)
-                    except ShardFailure as failure:
-                        failures.append(failure)
-                        break
-                    begin = time.perf_counter()
-                    accumulator.merge(result.accumulator)
-                    attack_seconds += time.perf_counter() - begin
-                    resumed += result.replayed
-                    quarantined += result.quarantined
-                    capture_seconds += result.capture_seconds
-                    merged += 1
-                    if journal is not None and result.quarantined:
-                        journal.update_shard(
-                            shard.index, "done", quarantined=True
-                        )
-                if failures:
-                    break
-                begin = time.perf_counter()
-                n = accumulator.n_traces
-                record = evaluate_checkpoint(accumulator, self.true_key, n)
-                records.append(record)
-                streak = streak + 1 if extends_streak(records, self.true_key) else 0
-                stopped = streak >= self.rank1_patience
-                attack_seconds += time.perf_counter() - begin
-                if verbose:
-                    rank = record.max_rank
-                    print(
-                        f"[parallel x{self.workers}] {n:>8d} traces "
-                        f"({merged} shards): max rank "
-                        f"{rank if rank is not None else '?'}, "
-                        f"streak {streak}/{self.rank1_patience}"
-                    )
-                if stopped:
-                    break
-        except BaseException:
-            # Interrupt / unexpected error: terminate workers outright so
-            # no zombie keeps capturing after the parent unwinds.
-            if journal is not None:
-                journal.set_phase("interrupted")
-            executor.close(force=True)
-            raise
-        # A graceful shutdown would block on an uncollected hung shard, so
-        # force when any shard failed (its siblings may share the fault).
-        executor.close(force=bool(failures))
-        partial = bool(failures)
-        if partial and merged == 0:
-            if journal is not None:
-                journal.set_phase("failed")
-            raise failures[0]
-        if partial:
-            # Degrade gracefully: evaluate the merged prefix as the final
-            # checkpoint (when it is both large and new enough to rank).
+        def checkpoint(merged: int) -> bool:
+            nonlocal streak, attack_seconds
+            begin = time.perf_counter()
             n = accumulator.n_traces
-            if n >= self._min_traces and (
-                not records or n > records[-1].n_traces
-            ):
-                begin = time.perf_counter()
-                records.append(
-                    evaluate_checkpoint(accumulator, self.true_key, n)
+            record = evaluate_checkpoint(accumulator, self.true_key, n)
+            records.append(record)
+            streak = streak + 1 if extends_streak(records, self.true_key) else 0
+            attack_seconds += time.perf_counter() - begin
+            if verbose:
+                rank = record.max_rank
+                print(
+                    f"[parallel x{self.workers}] {n:>8d} traces "
+                    f"({merged} shards): max rank "
+                    f"{rank if rank is not None else '?'}, "
+                    f"streak {streak}/{self.rank1_patience}"
                 )
-                streak = (
-                    streak + 1 if extends_streak(records, self.true_key) else 0
-                )
-                attack_seconds += time.perf_counter() - begin
-        if journal is not None:
-            journal.set_phase(
-                "partial" if partial
-                else ("converged" if stopped else "exhausted")
-            )
+            return streak >= self.rank1_patience
+
+        run = run_shards(
+            [
+                (run_shard, self.spec, shard, self.store_root, self.aggregate,
+                 self.batch_size, self.distinguisher_spec, self.fault_plan)
+                for shard in plan_shards(self.seed, max_traces, self.shard_size)
+            ],
+            merge,
+            workers=self.workers,
+            policy=self.retry_policy,
+            rungs=[-(-target // self.shard_size)
+                   for target in self.checkpoints(max_traces)],
+            checkpoint=checkpoint,
+            store_root=self.store_root,
+            kind="parallel_campaign",
+            meta={
+                "seed": self.seed,
+                "shard_size": self.shard_size,
+                "distinguisher": self.distinguisher_spec.name,
+            },
+            config={
+                "n_samples": self.spec.n_samples,
+                "key": self.true_key,
+                "campaign_seed": self.seed,
+                "capture_mode": getattr(self.spec, "capture_mode", "exact"),
+            },
+            label=f"parallel x{self.workers}",
+            verbose=verbose,
+        )
+        n = accumulator.n_traces
+        if run.partial and n >= self._min_traces and (
+            not records or n > records[-1].n_traces
+        ):
+            # Degrade gracefully: evaluate the merged prefix as the final
+            # checkpoint.
+            checkpoint(run.merged)
         return CampaignResult(
             records=records,
             n_traces=n,
             traces_to_rank1=streak_start(records, self.true_key, streak),
-            early_stopped=stopped,
+            early_stopped=run.stopped,
             recovered_key=(
                 accumulator.recovered_key() if n >= self._min_traces else b""
             ),
@@ -808,8 +738,8 @@ class ParallelCampaign:
             capture_seconds=capture_seconds,
             attack_seconds=attack_seconds,
             distinguisher=accumulator.name,
-            partial=partial,
-            failed_shards=tuple(f.index for f in failures),
-            retries=executor.total_retries,
+            partial=run.partial,
+            failed_shards=run.failed_shards,
+            retries=run.retries,
+            pool_rebuilds=run.pool_rebuilds,
         )
-

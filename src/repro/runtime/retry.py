@@ -23,30 +23,31 @@ needs:
   report ``partial``) instead of aborting with a raw pool error.
 
 The executor is deliberately campaign-agnostic — it dispatches
-``(fn, *args)`` tasks keyed by shard index — so :class:`~repro.runtime
-.parallel.ParallelCampaign` and :class:`~repro.evaluation.parallel_tvla
-.ParallelTvlaCampaign` share one fault-tolerance layer.
+``(fn, *args)`` tasks keyed by shard index.  :func:`run_shards` is the one
+fan-out loop on top of it: store-root checks, the campaign journal,
+in-order collection with a ``workers - 1`` look-ahead, interrupt cleanup
+and the partial-versus-failed decision.  :class:`~repro.runtime.parallel
+.ParallelCampaign`, :class:`~repro.evaluation.parallel_tvla
+.ParallelTvlaCampaign` and :meth:`~repro.runtime.engine.ExperimentEngine
+.run_ge_curve` all dispatch through it.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from typing import Callable
+from pathlib import Path
+from typing import Callable, Sequence
 
-__all__ = ["RetryPolicy", "ShardExecutor", "ShardFailure", "pool_context"]
+from repro.campaign.store import CorruptManifestError, TraceStore
+from repro.runtime.journal import CampaignJournal
 
-
-def pool_context():
-    """Prefer fork (cheap, inherits imports); fall back to the default."""
-    import multiprocessing
-
-    if "fork" in multiprocessing.get_all_start_methods():
-        return multiprocessing.get_context("fork")
-    return None  # pragma: no cover - non-fork platforms
+__all__ = ["RetryPolicy", "ShardExecutor", "ShardFailure", "ShardRun",
+           "run_shards"]
 
 
 @dataclass(frozen=True)
@@ -142,14 +143,15 @@ class ShardExecutor:
 
     # -- pool lifecycle ------------------------------------------------
 
-    def _make_pool(self) -> ProcessPoolExecutor:
-        return ProcessPoolExecutor(
-            max_workers=self.workers, mp_context=pool_context()
-        )
-
     def _ensure_pool(self) -> ProcessPoolExecutor:
         if self._pool is None:
-            self._pool = self._make_pool()
+            # Prefer fork (cheap, inherits imports); fall back to the
+            # platform default.
+            fork = "fork" in multiprocessing.get_all_start_methods()
+            self._pool = ProcessPoolExecutor(
+                max_workers=self.workers,
+                mp_context=multiprocessing.get_context("fork") if fork else None,
+            )
         return self._pool
 
     def _kill_pool(self) -> None:
@@ -168,13 +170,17 @@ class ShardExecutor:
         into the result cache; futures holding a genuine task exception
         are kept as-is so :meth:`result` charges them against that
         shard's retry budget; everything else (running, queued,
-        cancelled, or poisoned by the pool break itself) is re-submitted
-        to the fresh pool.
+        cancelled, poisoned by the pool break itself, or never dispatched
+        because :meth:`submit` found the pool broken) is re-submitted to
+        the fresh pool.
         """
         self.pool_rebuilds += 1
         resubmit = []
-        for index, future in list(self._futures.items()):
-            if future.done() and not future.cancelled():
+        for index in self._tasks:
+            if index in self._results or index in self._failures:
+                continue
+            future = self._futures.get(index)
+            if future is not None and future.done() and not future.cancelled():
                 exc = future.exception()
                 if exc is None:
                     self._results[index] = future.result()
@@ -185,10 +191,22 @@ class ShardExecutor:
                     continue
             resubmit.append(index)
         self._kill_pool()
-        pool = self._ensure_pool()
         for index in resubmit:
-            fn, args = self._tasks[index]
-            self._futures[index] = pool.submit(fn, *args)
+            self._dispatch(index)
+
+    def _dispatch(self, index: int) -> None:
+        """Hand shard ``index`` to the pool.
+
+        When an earlier shard has already killed the pool the shard stays
+        undispatched: the next :meth:`result` wait sees the break and
+        recovers through the charged retry path, so no recovery goes
+        unaccounted.
+        """
+        fn, args = self._tasks[index]
+        try:
+            self._futures[index] = self._ensure_pool().submit(fn, *args)
+        except BrokenProcessPool:
+            self._futures.pop(index, None)
 
     # -- the public surface --------------------------------------------
 
@@ -198,11 +216,7 @@ class ShardExecutor:
         index = int(index)
         self._tasks[index] = (fn, args)
         if self._use_pool:
-            try:
-                self._futures[index] = self._ensure_pool().submit(fn, *args)
-            except BrokenProcessPool:  # pragma: no cover - submit-time break
-                self._rebuild_pool()
-                self._futures[index] = self._pool.submit(fn, *args)
+            self._dispatch(index)
         self._emit(index, "capturing")
 
     def result(self, index: int):
@@ -223,9 +237,13 @@ class ShardExecutor:
             recover = None
             try:
                 if self._use_pool:
-                    value = self._futures[index].result(
-                        timeout=self.policy.timeout
-                    )
+                    future = self._futures.get(index)
+                    if future is None:
+                        raise BrokenProcessPool(
+                            f"the pool broke before shard {index} was "
+                            f"dispatched"
+                        )
+                    value = future.result(timeout=self.policy.timeout)
                 else:
                     value = fn(*args)
             except (KeyboardInterrupt, SystemExit):
@@ -254,14 +272,14 @@ class ShardExecutor:
                 return value
             attempt = self.retries.get(index, 0) + 1
             if attempt > self.policy.max_retries:
-                # Drop this shard's future *before* any rebuild so it is
+                # Record the failure *before* any rebuild so this shard is
                 # not requeued, then rebuild anyway when the pool itself
                 # is the casualty — the surviving shards need workers.
                 self._futures.pop(index, None)
-                if recover == "rebuild":
-                    self._rebuild_pool()
                 failure = ShardFailure(index, attempt, cause)
                 self._failures[index] = failure
+                if recover == "rebuild":
+                    self._rebuild_pool()
                 self._emit(index, "failed")
                 raise failure
             self.retries[index] = attempt
@@ -270,7 +288,7 @@ class ShardExecutor:
             if recover == "rebuild":
                 self._rebuild_pool()
             elif recover == "resubmit":
-                self._futures[index] = self._ensure_pool().submit(fn, *args)
+                self._dispatch(index)
 
     def close(self, force: bool = False) -> None:
         """Shut the pool down.
@@ -287,3 +305,152 @@ class ShardExecutor:
         else:
             self._pool.shutdown(cancel_futures=True)
             self._pool = None
+
+
+# ---------------------------------------------------------------------- #
+# the shard fan-out loop                                                 #
+# ---------------------------------------------------------------------- #
+
+
+@dataclass(frozen=True)
+class ShardRun:
+    """How a :func:`run_shards` fan-out ended."""
+
+    merged: int                     # shards merged: a prefix of the plan
+    stopped: bool                   # a checkpoint asked to stop early
+    failure: ShardFailure | None    # the shard that ran out of retries
+    retries: int
+    pool_rebuilds: int
+
+    @property
+    def partial(self) -> bool:
+        return self.failure is not None
+
+    @property
+    def failed_shards(self) -> tuple[int, ...]:
+        return () if self.failure is None else (self.failure.index,)
+
+
+def _check_store_root(root: Path, config: dict) -> None:
+    """Refuse a shard root whose non-empty stores record another ``config``
+    (a store's ``n_samples``, ``key`` or any ``meta`` entry)."""
+    for manifest in sorted(root.glob("shard-*/manifest.json")):
+        try:
+            store = TraceStore.open(manifest.parent)
+        except CorruptManifestError:
+            continue                # the shard's worker quarantines it
+        if not len(store):
+            continue
+        recorded = {"n_samples": store.n_samples, "key": store.key,
+                    **store.meta}
+        for field, value in config.items():
+            stored = recorded.get(field)
+            if stored is not None and value is not None and stored != value:
+                raise ValueError(
+                    f"{store.path} was captured with {field} "
+                    f"{stored!r}, this run uses {value!r}; point "
+                    f"the run at a fresh directory"
+                )
+
+
+def run_shards(
+    tasks: Sequence[tuple],
+    merge: Callable[[object], None],
+    *,
+    workers: int = 1,
+    policy: RetryPolicy | None = None,
+    rungs: Sequence[int] = (),
+    checkpoint: Callable[[int], bool] | None = None,
+    min_merged: int = 1,
+    store_root=None,
+    kind: str | None = None,
+    meta: dict | None = None,
+    config: dict | None = None,
+    label: str = "shards",
+    verbose: bool = False,
+) -> ShardRun:
+    """Dispatch shard ``tasks`` (``tasks[i]`` is shard ``i``'s
+    ``(fn, *args)``) and ``merge`` their results strictly in index order.
+
+    ``rungs`` are ascending merged-shard counts (default: one rung over
+    every task); after each, ``checkpoint(merged)`` may return ``True`` to
+    stop early.  The pool runs up to ``workers - 1`` shards ahead of the
+    current rung — shard streams are deterministic, so capturing ahead
+    changes nothing but wall clock.
+
+    With a ``store_root``, a serial single-store directory is refused, the
+    shard stores' recorded ``config`` is checked once here (a mismatch is a
+    ``ValueError``, not a retried shard failure), and a
+    :class:`CampaignJournal` of ``kind`` tracks every shard and the
+    terminal phase; results must then carry a ``quarantined`` count.
+
+    A shard out of retries ends the run: the merged prefix comes back as a
+    partial :class:`ShardRun` if it holds ``min_merged`` shards, otherwise
+    the :class:`ShardFailure` propagates.  On any other exception,
+    ``KeyboardInterrupt`` included, workers are terminated outright.
+    """
+    journal = None
+    if store_root is not None:
+        root = Path(store_root)
+        if (root / "manifest.json").exists():
+            raise ValueError(
+                f"{store_root} holds a single serial TraceStore; point the "
+                f"sharded run at a fresh directory"
+            )
+        root.mkdir(parents=True, exist_ok=True)
+        _check_store_root(root, config or {})
+        journal = CampaignJournal.open_or_create(root, kind, meta=meta)
+        journal.begin(len(tasks))
+
+    def on_event(index: int, state: str, retries: int) -> None:
+        if journal is not None:
+            journal.update_shard(index, state)
+        if verbose and state in ("retrying", "failed"):
+            print(f"[{label}] shard {index} {state} (retries {retries})")
+
+    executor = ShardExecutor(workers=workers, policy=policy, on_event=on_event)
+    merged = submitted = 0
+    stopped = False
+    failure = None
+    try:
+        for needed in list(rungs) or [len(tasks)]:
+            for index in range(submitted, min(len(tasks), needed + workers - 1)):
+                executor.submit(index, *tasks[index])
+                submitted = index + 1
+            while merged < needed:
+                try:
+                    result = executor.result(merged)
+                except ShardFailure as exc:
+                    failure = exc
+                    break
+                merge(result)
+                if journal is not None and result.quarantined:
+                    journal.update_shard(merged, "done", quarantined=True)
+                merged += 1
+            if failure is not None:
+                break
+            if checkpoint is not None and checkpoint(merged):
+                stopped = True
+                break
+    except BaseException:
+        # Terminate workers outright so no zombie keeps capturing after
+        # the parent unwinds.
+        if journal is not None:
+            journal.set_phase("interrupted", executor.pool_rebuilds)
+        executor.close(force=True)
+        raise
+    # A graceful shutdown would block on an uncollected hung shard, so
+    # force when a shard failed (its siblings may share the fault).
+    executor.close(force=failure is not None)
+    if failure is not None:
+        phase = "failed" if merged < min_merged else "partial"
+    elif stopped:
+        phase = "converged"
+    else:                           # the whole budget was spent
+        phase = "exhausted" if checkpoint is not None else "complete"
+    if journal is not None:
+        journal.set_phase(phase, executor.pool_rebuilds)
+    if phase == "failed":
+        raise failure
+    return ShardRun(merged, stopped, failure, executor.total_retries,
+                    executor.pool_rebuilds)

@@ -49,6 +49,13 @@ class TestChaosParallelTvla:
         assert not result.partial
         assert np.array_equal(result.t, baseline.t)
 
+    def test_pool_rebuilds_are_surfaced(self, tmp_path, baseline):
+        plan = FaultPlan.single(tmp_path / "faults", 1, "exit")
+        result = _campaign(workers=2, fault_plan=plan).run(24)
+        assert result.retries >= 1
+        assert result.pool_rebuilds >= 1
+        assert np.array_equal(result.t, baseline.t)
+
     def test_partial_append_is_quarantined_on_retry(
         self, tmp_path, baseline
     ):

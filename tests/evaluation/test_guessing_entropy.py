@@ -205,3 +205,17 @@ class TestEngineGeCurveWorkers:
                 ScenarioSpec(), max_traces=100, workers=2,
                 distinguisher=live,
             )
+
+    def test_a_live_accumulator_is_rejected_at_one_worker_too(self):
+        """Every repetition builds its own accumulator, so a pre-built one
+        is refused up front instead of failing at the second repetition."""
+        from repro.attacks.distinguishers import DistinguisherSpec
+        from repro.runtime import ExperimentEngine, ScenarioSpec
+
+        live = DistinguisherSpec(aggregate=8).build()
+        with pytest.raises(TypeError, match="picklable"):
+            ExperimentEngine(seed=0).run_ge_curve(
+                ScenarioSpec(), max_traces=100, repetitions=2,
+                distinguisher=live,
+            )
+

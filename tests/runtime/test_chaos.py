@@ -163,6 +163,17 @@ class TestJournalLifecycle:
         text = journal.describe()
         assert "parallel_campaign" in text and journal.phase in text
 
+    def test_pool_rebuilds_are_surfaced(self, tmp_path, baseline):
+        plan = FaultPlan.single(tmp_path / "faults", 1, "exit")
+        result = _campaign(
+            workers=2, store_root=tmp_path / "store", fault_plan=plan
+        ).run(BUDGET)
+        assert result.pool_rebuilds >= 1
+        journal = CampaignJournal.load(tmp_path / "store")
+        assert journal.pool_rebuilds == result.pool_rebuilds
+        assert "pool rebuilds" in journal.describe()
+        assert _fingerprint(result) == _fingerprint(baseline)
+
     def test_journal_kind_mismatch_is_refused(self, tmp_path):
         CampaignJournal.open_or_create(tmp_path, "parallel_tvla")
         with pytest.raises(ValueError, match="parallel_tvla"):

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import time
+from concurrent.futures import wait
 from pathlib import Path
 
 import numpy as np
@@ -151,6 +153,12 @@ def _flaky(state_dir, fail_times, value):
     return value
 
 
+def _fault_then(plan, index, value):
+    """Picklable task: fire shard ``index``'s planned fault, then return."""
+    plan.maybe_fire(index)
+    return value
+
+
 class TestShardExecutorInline:
     def test_transient_failures_are_retried_to_success(self, tmp_path):
         events = []
@@ -241,3 +249,34 @@ class TestShardExecutorPool:
         executor = ShardExecutor(policy=RetryPolicy(timeout=30.0))
         assert executor._use_pool
         executor.close()
+
+    def test_pool_break_found_at_submit_is_a_charged_retry(self, tmp_path):
+        """Shard 0 kills its worker; shard 1 is dispatched only after the
+        pool is marked broken.  The recovery must be charged and emitted
+        like any other, not hidden in a silent rebuild."""
+        events = []
+        executor = ShardExecutor(
+            workers=2,
+            policy=RetryPolicy(max_retries=2, backoff=0.0),
+            on_event=lambda i, s, r: events.append((i, s, r)),
+        )
+        plan = FaultPlan.single(tmp_path, 0, "exit")
+        try:
+            executor.submit(0, _fault_then, plan, 0, "first")
+            deadline = time.monotonic() + 30
+            while not plan.fired(0) and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert plan.fired(0) == 1
+            # The pool is flagged broken before its futures fail, so once
+            # shard 0's future is done the next submit meets the break.
+            done, _ = wait([executor._futures[0]], timeout=30)
+            assert done
+            executor.submit(1, _fault_then, plan, 1, "second")
+            assert executor.result(0) == "first"
+            assert executor.result(1) == "second"
+        finally:
+            executor.close()
+        assert executor.retries == {0: 1}
+        assert executor.pool_rebuilds == 1
+        assert (0, "retrying", 1) in events
+

@@ -270,22 +270,18 @@ class TestCliTvlaParallel:
         assert "--shard-size" in capsys.readouterr().err
 
     def test_parallel_refuses_a_serial_store(self, tmp_path, capsys):
+        from repro.evaluation import TvlaCampaign
+        from repro.soc.platform import PlatformSpec
+
         store = str(tmp_path / "serial")
+        # The CLI is always sharded; the library's unsharded campaign
+        # still writes a single serial store.
+        TvlaCampaign(PlatformSpec("aes"), segment_length=160, batch_size=4,
+                     store_dir=store).run(4)
         argv = ["tvla", "--traces", "4", "--segment-length", "160",
                 "--batch-size", "4", "--store", store]
-        assert main(argv) in (0, 1)
-        capsys.readouterr()
         assert main(argv + ["--workers", "1"]) == 2
         assert "serial TraceStore" in capsys.readouterr().err
-
-    def test_serial_refuses_a_shard_store_root(self, tmp_path, capsys):
-        store = str(tmp_path / "shards")
-        argv = ["tvla", "--traces", "4", "--segment-length", "160",
-                "--batch-size", "4", "--store", store]
-        assert main(argv + ["--workers", "1", "--shard-size", "4"]) in (0, 1)
-        capsys.readouterr()
-        assert main(argv) == 2
-        assert "--workers" in capsys.readouterr().err
 
     def test_rejects_an_unknown_backend(self):
         with pytest.raises(SystemExit):

@@ -72,3 +72,23 @@ class TestStatus:
         assert "phase" in out
         journal = json.loads((tmp_path / "store" / "journal.json").read_text())
         assert journal["kind"] == "parallel_campaign"
+
+
+class TestStoreConfigMismatch:
+    def test_campaign_resume_refuses_other_capture_mode(
+        self, tmp_path, capsys
+    ):
+        """A mismatched shard root is refused once, before dispatch: exit
+        2, no retries, no backoff."""
+        store = str(tmp_path / "store")
+        base = ["campaign", "--rd", "0", "--traces", "128",
+                "--segment-length", "1600", "--patience", "1",
+                "--first-checkpoint", "128", "--shard-size", "128",
+                "--workers", "1", "--store", store]
+        assert main(base + ["--capture-mode", "fast"]) in (0, 1)
+        capsys.readouterr()
+        assert main(base + ["--capture-mode", "exact"]) == 2
+        captured = capsys.readouterr()
+        assert "capture_mode" in captured.err
+        assert "retrying" not in captured.out
+

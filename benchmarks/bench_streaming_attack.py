@@ -5,9 +5,9 @@ The Table-II metric ("N. COs to reach rank 1") needs key ranks at a ladder
 of trace-count checkpoints.  The batch baseline
 (:func:`repro.attacks.key_rank.traces_to_rank1`) re-runs the full CPA at
 every checkpoint, touching each trace O(checkpoints) times; the streaming
-:class:`~repro.campaign.online.OnlineCpa` touches each trace once and
-recovers the correlation matrix from sufficient statistics at every
-checkpoint.  With the default geometric ladder (growth 1.5) the batch
+:class:`~repro.attacks.distinguishers.CpaDistinguisher` touches each trace
+once and recovers the correlation matrix from sufficient statistics at
+every checkpoint.  With the default geometric ladder (growth 1.5) the batch
 baseline processes ~3x the trace volume, so the streaming pass should win
 by at least that factor — this benchmark measures it, verifies both paths
 agree on every checkpoint's ranks, and also reports TraceStore append /
@@ -45,8 +45,9 @@ import time
 import numpy as np
 
 from repro.attacks import full_key_ranks, geometric_checkpoints
+from repro.attacks.distinguishers import CpaDistinguisher
 from repro.attacks.leakage_models import hw_byte
-from repro.campaign import OnlineCpa, TraceStore
+from repro.campaign import TraceStore
 from repro.ciphers.aes import SBOX
 from repro.evaluation import format_table
 
@@ -287,7 +288,7 @@ def bench_rank_evaluation(
     t_batch = time.perf_counter() - begin
 
     begin = time.perf_counter()
-    acc = OnlineCpa()
+    acc = CpaDistinguisher()
     streaming_ranks = {}
     done = 0
     for c in checkpoints:
@@ -334,7 +335,7 @@ def bench_store(traces: np.ndarray, pts: np.ndarray) -> tuple[list[list[str]], d
             store.append(traces[i:i + chunk], pts[i:i + chunk])
         t_append = time.perf_counter() - begin
         begin = time.perf_counter()
-        acc = OnlineCpa()
+        acc = CpaDistinguisher()
         for t, p in TraceStore.open(root).iter_chunks(chunk):
             acc.update(t, p)
         t_replay = time.perf_counter() - begin

@@ -8,7 +8,7 @@ replaced a per-trace Python loop over
 ``synthesize_rows`` (pulse expansion → FIR band-limit → window cut →
 noise → ADC quantisation fused into one pass, replacing a chain of five
 whole-matrix numpy stages).  This benchmark measures both kernels in
-isolation at capture-shaped workloads, per installed backend, and also
+isolation at capture-shaped workloads and also
 times the scalar / unfused references they replaced so the win is
 recorded next to the absolute throughput.
 
@@ -33,7 +33,7 @@ import time
 
 import numpy as np
 
-from repro.backend import available_backends, set_backend
+from repro.backend import get_backend
 from repro.evaluation import format_table
 from repro.soc import RandomDelayCountermeasure, TrngModel
 from repro.soc.random_delay import BatchDelayPlans
@@ -82,7 +82,7 @@ def bench_gather(backend, seed, batch, n32, max_delay, repeats):
         stacked.positions, values32, kinds32, stacked.dummy_values,
         stacked.dummy_kinds, stacked.dummy_bounds, los, widths,
     )
-    got = backend.gather_delayed_windows(*args)   # also warms any JIT
+    got = backend.gather_delayed_windows(*args)   # also warms the caches
     want = _scalar_gather(plans, values32, kinds32, los, widths)
     if not (np.array_equal(got[0], want[0])
             and np.array_equal(got[1], want[1])):
@@ -154,7 +154,7 @@ def _unfused_synthesize(power, widths, pulse, kernel, offsets, n_out,
 
 def bench_synthesis(backend, seed, batch, w_ops, spp, n_out, repeats):
     args = _synthesis_workload(seed, batch, w_ops, spp, n_out)
-    got = backend.synthesize_rows(*args)          # also warms any JIT
+    got = backend.synthesize_rows(*args)          # also warms the caches
     want = _unfused_synthesize(*args)
     if not np.array_equal(got, want):
         raise AssertionError(
@@ -196,37 +196,33 @@ def main() -> int:
     batch = 128 if args.quick else 512
     repeats = 30 if args.quick else 120
 
-    backends = {}
-    rows = []
-    for name in available_backends():
-        backend = set_backend(name)
-        if backend.name != name:   # numba fell back: nothing new to time
-            continue
-        gather = bench_gather(
-            backend, args.seed, batch=batch, n32=600, max_delay=2,
-            repeats=repeats,
-        )
-        synthesis = bench_synthesis(
-            backend, args.seed, batch=batch, w_ops=128, spp=3, n_out=320,
-            repeats=repeats,
-        )
-        backends[name] = {"gather": gather, "synthesis": synthesis}
-        rows.append([
-            name, "gather",
+    backend = get_backend()
+    gather = bench_gather(
+        backend, args.seed, batch=batch, n32=600, max_delay=2,
+        repeats=repeats,
+    )
+    synthesis = bench_synthesis(
+        backend, args.seed, batch=batch, w_ops=128, spp=3, n_out=320,
+        repeats=repeats,
+    )
+    rows = [
+        [
+            backend.name, "gather",
             f"{gather['windows_per_s']:.0f} win/s",
             f"{gather['kernel_vs_scalar_ratio']:.1f}x vs scalar",
-        ])
-        rows.append([
-            name, "synthesize_rows",
+        ],
+        [
+            backend.name, "synthesize_rows",
             f"{synthesis['samples_per_s'] / 1e6:.1f} Msample/s",
             f"{synthesis['kernel_vs_unfused_ratio']:.1f}x vs unfused",
-        ])
-        print(f"[bench] {name}: gather {gather['windows_per_s']:.0f} "
-              f"windows/s ({gather['kernel_vs_scalar_ratio']:.1f}x vs the "
-              f"scalar loop), synthesize "
-              f"{synthesis['samples_per_s'] / 1e6:.1f} Msample/s "
-              f"({synthesis['kernel_vs_unfused_ratio']:.1f}x vs the "
-              f"unfused chain)")
+        ],
+    ]
+    print(f"[bench] {backend.name}: gather {gather['windows_per_s']:.0f} "
+          f"windows/s ({gather['kernel_vs_scalar_ratio']:.1f}x vs the "
+          f"scalar loop), synthesize "
+          f"{synthesis['samples_per_s'] / 1e6:.1f} Msample/s "
+          f"({synthesis['kernel_vs_unfused_ratio']:.1f}x vs the "
+          f"unfused chain)")
 
     print()
     print(format_table(
@@ -239,7 +235,9 @@ def main() -> int:
         "benchmark": "synthesis_kernels",
         "quick": bool(args.quick),
         "batch": batch,
-        "backends": backends,
+        "backends": {
+            backend.name: {"gather": gather, "synthesis": synthesis},
+        },
     }
     with open(args.output, "w") as handle:
         json.dump(payload, handle, indent=2)

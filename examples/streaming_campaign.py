@@ -4,9 +4,10 @@
 Demonstrates the campaign subsystem end to end on the simulated platform:
 
 1. a fixed-key campaign streams capture batches into a constant-memory
-   :class:`~repro.campaign.online.OnlineCpa` accumulator and an on-disk
-   :class:`~repro.campaign.store.TraceStore`, evaluating key ranks at
-   geometric checkpoints and stopping early once every byte holds rank 1;
+   :class:`~repro.attacks.distinguishers.CpaDistinguisher` accumulator and
+   an on-disk :class:`~repro.campaign.store.TraceStore`, evaluating key
+   ranks at geometric checkpoints and stopping early once every byte holds
+   rank 1;
 2. the process then "crashes" (we simply build a new campaign object) and
    *resumes* from the half-written store — the persisted chunks are
    replayed into a fresh accumulator and capture continues where the

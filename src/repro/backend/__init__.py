@@ -1,56 +1,32 @@
-"""Pluggable array backend for the measured hot loops.
+"""The array kernel table under the measured hot loops.
 
 The capture→accumulate spine spends nearly all of its time in a handful of
 elementwise/scatter kernels: the Hamming-weight leakage model, the ADC
 quantiser, the RD-window gather, and the fused pulse→FIR→quantise window
 synthesis on the capture side, and the class-conditional scatter on the
-accumulation side.  This package puts a thin seam under exactly those
-kernels so a campaign can swap the array engine without touching any
-calling code:
+accumulation side.  This package holds exactly those kernels in one
+:class:`ArrayBackend` table, implemented in numpy by
+:mod:`repro.backend.numpy_backend` — **bit-identical** to the historical
+inline code (it *is* that code, moved verbatim).
 
-* ``numpy`` (default) — the reference implementation, **bit-identical** to
-  the historical inline code (it *is* that code, moved verbatim);
-* ``numba`` (optional) — JIT-compiled parallel kernels.  Requested but
-  missing numba degrades gracefully: a warning, then the numpy backend.
-
-Selection, in priority order:
-
-1. an explicit :func:`set_backend` call (the CLI's ``--backend`` flag);
-2. the ``REPRO_BACKEND`` environment variable — which is also how the
-   parent process propagates the choice to parallel campaign workers;
-3. the numpy default.
-
-The numba kernels accumulate floating-point sums in loop order rather than
-numpy's pairwise order, so their results agree with the numpy backend to
-the same tolerances the batch-vs-online property suites already pin — not
-bit-for-bit.  Anything needing bit-stable streams (the equivalence suites,
-committed baselines) runs on the numpy backend.
+Every call site looks the table up through :func:`get_backend` at call
+time, so a test or the benchmark tracer can substitute kernels without
+touching any calling code: save the module attribute ``_active``, assign a
+modified copy (``dataclasses.replace(get_backend(), quantize=...)``), and
+restore it afterwards.
 """
 
 from __future__ import annotations
 
-import os
-import warnings
 from dataclasses import dataclass
 from typing import Callable
 
-__all__ = [
-    "ArrayBackend",
-    "BACKEND_ENV",
-    "available_backends",
-    "get_backend",
-    "set_backend",
-]
-
-#: Environment variable consulted on first use (and by worker processes).
-BACKEND_ENV = "REPRO_BACKEND"
-
-_KNOWN = ("numpy", "numba")
+__all__ = ["ArrayBackend", "get_backend"]
 
 
 @dataclass(frozen=True)
 class ArrayBackend:
-    """The kernel table one backend provides.
+    """The kernel table the hot loops call.
 
     ``accumulate_class_stats(counts, class_sums, t, pts)``
         In-place scatter of a centred chunk into per-(byte, class) counts
@@ -96,66 +72,10 @@ class ArrayBackend:
 _active: ArrayBackend | None = None
 
 
-def _load(name: str) -> ArrayBackend:
-    if name == "numpy":
-        from repro.backend.numpy_backend import BACKEND
-        return BACKEND
-    if name == "numba":
-        from repro.backend.numba_backend import BACKEND
-        return BACKEND
-    raise ValueError(
-        f"unknown backend {name!r}; choose from {', '.join(_KNOWN)}"
-    )
-
-
-def available_backends() -> list[str]:
-    """Backend names usable in this environment."""
-    names = ["numpy"]
-    try:
-        import numba  # noqa: F401
-        names.append("numba")
-    except ImportError:
-        pass
-    return names
-
-
-def set_backend(name: str) -> ArrayBackend:
-    """Select the active backend by name.
-
-    Unknown names raise.  ``"numba"`` with no numba installed warns and
-    falls back to numpy, so a config written for a beefy machine still
-    runs (on the reference kernels) anywhere.
-    """
-    global _active
-    if name not in _KNOWN:
-        raise ValueError(
-            f"unknown backend {name!r}; choose from {', '.join(_KNOWN)}"
-        )
-    try:
-        _active = _load(name)
-    except ImportError:
-        warnings.warn(
-            f"backend {name!r} requested but its dependency is not "
-            f"installed; falling back to numpy",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        _active = _load("numpy")
-    return _active
-
-
 def get_backend() -> ArrayBackend:
-    """The active backend, resolving ``REPRO_BACKEND`` on first use."""
+    """The active kernel table: the numpy kernels unless substituted."""
     global _active
     if _active is None:
-        requested = os.environ.get(BACKEND_ENV, "numpy")
-        if requested not in _KNOWN:
-            warnings.warn(
-                f"{BACKEND_ENV}={requested!r} is not a known backend "
-                f"({', '.join(_KNOWN)}); using numpy",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            requested = "numpy"
-        set_backend(requested)
+        from repro.backend.numpy_backend import BACKEND
+        _active = BACKEND
     return _active

@@ -1,15 +1,11 @@
 """Streaming attack-campaign primitives.
 
 The campaign layer turns the batch attacks of :mod:`repro.attacks` into a
-streaming pipeline suitable for production-scale trace counts:
+streaming pipeline suitable for production-scale trace counts.  The
+constant-memory accumulators are the :mod:`repro.attacks.distinguishers`
+themselves (e.g. :class:`~repro.attacks.distinguishers.CpaDistinguisher`),
+updated chunk-by-chunk; this package holds what they stream from:
 
-* :class:`~repro.campaign.online.OnlineCpa` /
-  :class:`~repro.campaign.online.OnlineDpa` — fixed-configuration shims
-  over the pluggable :mod:`repro.attacks.distinguishers` framework:
-  constant-memory sufficient statistics updated chunk-by-chunk,
-  recovering the batch correlation / difference matrices at any point of
-  the stream (any registered distinguisher plugs into the same campaign
-  machinery);
 * :class:`~repro.campaign.store.TraceStore` — an append-only, sharded
   on-disk store (``.npy`` segments + JSON manifest, memory-mapped reads)
   so captured traces survive the process and campaigns can resume.
@@ -19,7 +15,6 @@ The :class:`~repro.runtime.campaign.AttackCampaign` orchestrator in
 top of these pieces.
 """
 
-from repro.campaign.online import OnlineCpa, OnlineDpa
 from repro.campaign.store import (
     CorruptManifestError,
     StoreVerification,
@@ -29,8 +24,6 @@ from repro.campaign.store import (
 
 __all__ = [
     "CorruptManifestError",
-    "OnlineCpa",
-    "OnlineDpa",
     "StoreVerification",
     "TraceStore",
     "atomic_write_json",

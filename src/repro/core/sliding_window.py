@@ -108,7 +108,7 @@ class SlidingWindowClassifier:
             return np.zeros(0, dtype=np.float64)
         if self.method == "windowed":
             return self._score_windowed(trace)
-        return self._score_dense(trace)
+        return self._score_dense_batch([trace])[0]
 
     def score_batch(self, traces) -> "list[np.ndarray]":
         """Score several traces, reusing the dense trunk across the batch.
@@ -196,37 +196,4 @@ class SlidingWindowClassifier:
             scores[begin: begin + self.batch_size] = scores_from_logits(
                 logits, self.score_mode
             )
-        return scores
-
-    def _score_dense(self, trace: np.ndarray) -> np.ndarray:
-        self.cnn.network.eval()
-        offsets = self.window_offsets(trace.size)
-        length = trace.size
-        margin = self._margin
-        scores = np.empty(offsets.size, dtype=np.float64)
-        out_pos = 0
-        # Process offsets chunk by chunk; each chunk needs trunk features
-        # over [chunk_start, last_window_end) plus the context margin.
-        chunk_windows = max(1, self.chunk_size // self.stride)
-        for begin in range(0, offsets.size, chunk_windows):
-            batch_offsets = offsets[begin: begin + chunk_windows]
-            span_start = int(batch_offsets[0])
-            span_end = int(batch_offsets[-1]) + self.window
-            ext_start = max(0, span_start - margin)
-            ext_end = min(length, span_end + margin)
-            segment = trace[ext_start:ext_end]
-            features = self._trunk.forward(segment[None, None, :])[0]  # (C, len)
-            # Prefix sums for O(1) window means.
-            csum = np.concatenate(
-                [np.zeros((features.shape[0], 1), dtype=np.float64),
-                 np.cumsum(features, axis=1, dtype=np.float64)],
-                axis=1,
-            )
-            local = batch_offsets - ext_start
-            pooled = (csum[:, local + self.window] - csum[:, local]).T / self.window
-            logits = self._head.forward(pooled.astype(np.float32))
-            scores[out_pos: out_pos + batch_offsets.size] = scores_from_logits(
-                logits, self.score_mode
-            )
-            out_pos += batch_offsets.size
         return scores

@@ -4,11 +4,11 @@ An :class:`AttackCampaign` drives a segment source (typically a
 :class:`PlatformSegmentSource` wrapping a
 :class:`~repro.soc.platform.SimulatedPlatform`) in batches, appends every
 batch to an optional on-disk :class:`~repro.campaign.store.TraceStore`,
-folds it into an :class:`~repro.campaign.online.OnlineCpa` accumulator, and
-evaluates key ranks at geometric checkpoints.  The campaign stops early
-once every key byte has held rank 1 for ``rank1_patience`` consecutive
-checkpoints (or, when the true key is unknown, once the recovered key has
-been stable that long).
+folds it into a :class:`~repro.attacks.distinguishers.CpaDistinguisher`
+accumulator, and evaluates key ranks at geometric checkpoints.  The
+campaign stops early once every key byte has held rank 1 for
+``rank1_patience`` consecutive checkpoints (or, when the true key is
+unknown, once the recovered key has been stable that long).
 
 Compared to re-running the batch CPA at every checkpoint
 (:func:`repro.attacks.key_rank.traces_to_rank1`), the streaming campaign
@@ -253,12 +253,18 @@ class AttackCampaign:
                 f"store holds {store.block_size}-byte plaintexts, source "
                 f"produces {source.block_size}-byte ones"
             )
+        if true_key is None:
+            true_key = getattr(source, "true_key", None)
+        if (
+            store is not None and store.key is not None
+            and true_key is not None and store.key != true_key
+        ):
+            raise ValueError(
+                "store was captured under a different key than the source's"
+            )
         self.source = source
         self.store = store
-        self.true_key = (
-            true_key if true_key is not None
-            else getattr(source, "true_key", None)
-        )
+        self.true_key = true_key
         self.distinguisher_spec, self.accumulator = resolve_distinguisher(
             distinguisher, aggregate=aggregate
         )

@@ -291,13 +291,6 @@ class TestCheckpointVersioning:
         with pytest.raises(ValueError, match="class-conditional"):
             cls.load(tmp_path / "old.npz")
 
-    def test_online_shims_reject_their_legacy_kinds(self, tmp_path):
-        from repro.campaign import OnlineCpa
-
-        np.savez(tmp_path / "old.npz", kind=np.array("online_cpa"))
-        with pytest.raises(ValueError, match="class-conditional"):
-            OnlineCpa.load(tmp_path / "old.npz")
-
     def test_current_kinds_are_versioned(self):
         assert CpaDistinguisher._KIND != "cpa"
         assert DpaDistinguisher._KIND != "dpa"

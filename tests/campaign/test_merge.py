@@ -15,7 +15,7 @@ from factories import feed_in_chunks, leaky_traces
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.campaign import OnlineCpa, OnlineDpa
+from repro.attacks.distinguishers import CpaDistinguisher, DpaDistinguisher
 
 N_TRACES = 240
 SAMPLES = 24
@@ -28,7 +28,7 @@ TRACES, PTS = leaky_traces(
     _rng, N_TRACES, KEY, noise=0.8, samples=SAMPLES, offset=250.0
 )
 
-ACCUMULATORS = [OnlineCpa, OnlineDpa]
+ACCUMULATORS = [CpaDistinguisher, DpaDistinguisher]
 
 
 def _shard_accumulators(cls, cuts):
@@ -131,43 +131,43 @@ class TestMergeProperties:
 
 class TestMergeOperators:
     def test_add_returns_a_fresh_accumulator(self):
-        a, b = _shard_accumulators(OnlineCpa, [100])
+        a, b = _shard_accumulators(CpaDistinguisher, [100])
         total = a + b
         assert total.n_traces == N_TRACES
         assert a.n_traces == 100
-        _assert_scores_close(total, _single(OnlineCpa))
+        _assert_scores_close(total, _single(CpaDistinguisher))
 
     def test_iadd_merges_in_place(self):
-        a, b = _shard_accumulators(OnlineCpa, [100])
+        a, b = _shard_accumulators(CpaDistinguisher, [100])
         a += b
         assert a.n_traces == N_TRACES
 
     def test_add_rejects_foreign_types(self):
-        a = _single(OnlineCpa)
+        a = _single(CpaDistinguisher)
         with pytest.raises(TypeError):
-            a.merge(_single(OnlineDpa))
+            a.merge(_single(DpaDistinguisher))
         assert a.__add__(3) is NotImplemented
 
 
 class TestMergeValidation:
     def test_aggregate_mismatch_rejected(self):
-        a = OnlineCpa(aggregate=2)
+        a = CpaDistinguisher(aggregate=2)
         a.update(TRACES[:20], PTS[:20])
-        b = OnlineCpa(aggregate=4)
+        b = CpaDistinguisher(aggregate=4)
         b.update(TRACES[20:40], PTS[20:40])
         with pytest.raises(ValueError):
             a.merge(b)
 
     def test_sample_width_mismatch_rejected(self):
-        a = _single(OnlineCpa)
-        b = OnlineCpa()
+        a = _single(CpaDistinguisher)
+        b = CpaDistinguisher()
         b.update(TRACES[:20, : SAMPLES // 2], PTS[:20])
         with pytest.raises(ValueError):
             a.merge(b)
 
     def test_byte_width_mismatch_rejected(self):
-        a = _single(OnlineCpa)
-        b = OnlineCpa()
+        a = _single(CpaDistinguisher)
+        b = CpaDistinguisher()
         b.update(TRACES[:20], PTS[:20, :4])
         with pytest.raises(ValueError):
             a.merge(b)

@@ -137,6 +137,24 @@ class TestResume:
         with pytest.raises(ValueError):
             AttackCampaign(SyntheticSource(KEY), store=narrow)
 
+    def test_store_captured_under_another_key_rejected(self, tmp_path):
+        first = PlatformSegmentSource(small_platform(seed=1), segment_length=64)
+        store = TraceStore.create(
+            tmp_path / "s", n_samples=64, key=first.true_key
+        )
+        AttackCampaign(first, store=store, batch_size=32,
+                       first_checkpoint=10_000).run(64)
+        second = PlatformSegmentSource(small_platform(seed=2), segment_length=64)
+        assert second.true_key != first.true_key
+        with pytest.raises(ValueError, match="different key"):
+            AttackCampaign(second, store=TraceStore.open(tmp_path / "s"))
+        # the store is untouched, and the right key still resumes it
+        resumed = AttackCampaign(
+            PlatformSegmentSource(small_platform(seed=1), segment_length=64),
+            store=TraceStore.open(tmp_path / "s"),
+        )
+        assert resumed.resumed_from == 64
+
     def test_resume_continues_the_capture_stream(self, tmp_path):
         """Interrupted + resumed == uninterrupted, trace for trace.
 

@@ -1,24 +1,20 @@
-"""Array-backend registry and kernel equivalence tests.
+"""Array kernel table tests.
 
-The numpy backend *is* the historical inline code moved verbatim, so the
-suite's many bit-stability tests already cover it transitively; here we
-pin the registry semantics (selection, env resolution, fallback warnings)
-and — when numba is installed — the numba kernels' agreement with the
-numpy reference.
+The numpy kernels *are* the historical inline code moved verbatim, so the
+suite's many bit-stability tests already cover them transitively; here we
+pin the table's default, its substitution seam, and each kernel against
+a direct definition.
 """
 
 from __future__ import annotations
+
+import dataclasses
 
 import numpy as np
 import pytest
 
 import repro.backend as backend_mod
-from repro.backend import (
-    BACKEND_ENV,
-    available_backends,
-    get_backend,
-    set_backend,
-)
+from repro.backend import get_backend
 
 
 @pytest.fixture(autouse=True)
@@ -29,44 +25,33 @@ def _restore_backend():
     backend_mod._active = saved
 
 
-class TestRegistry:
-    def test_default_is_numpy(self, monkeypatch):
-        monkeypatch.delenv(BACKEND_ENV, raising=False)
+class TestKernelTable:
+    def test_default_is_numpy(self):
         backend_mod._active = None
         assert get_backend().name == "numpy"
 
-    def test_set_backend_numpy(self):
-        assert set_backend("numpy").name == "numpy"
-        assert get_backend().name == "numpy"
+    def test_callers_see_a_substituted_table(self):
+        """Call sites resolve the table at call time, so a swap takes hold."""
+        from repro.soc.oscilloscope import Oscilloscope
 
-    def test_unknown_name_raises(self):
-        with pytest.raises(ValueError, match="unknown backend"):
-            set_backend("cupy")
+        numpy_table = get_backend()
+        seen = []
 
-    def test_env_selects_backend(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV, "numpy")
-        backend_mod._active = None
-        assert get_backend().name == "numpy"
+        def quantize(analog, lsb, max_code):
+            seen.append(analog.shape)
+            return numpy_table.quantize(analog, lsb, max_code)
 
-    def test_invalid_env_warns_and_uses_numpy(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV, "fortran")
-        backend_mod._active = None
-        with pytest.warns(RuntimeWarning, match="not a known backend"):
-            assert get_backend().name == "numpy"
-
-    def test_numba_falls_back_when_missing(self):
-        if "numba" in available_backends():
-            pytest.skip("numba installed; fallback path not reachable")
-        with pytest.warns(RuntimeWarning, match="falling back to numpy"):
-            assert set_backend("numba").name == "numpy"
-
-    def test_available_backends_always_lists_numpy(self):
-        assert "numpy" in available_backends()
+        scope = Oscilloscope(noise_std=0.0)
+        expected = scope.capture(np.arange(5.0), np.random.default_rng(0))
+        backend_mod._active = dataclasses.replace(numpy_table, quantize=quantize)
+        out = scope.capture(np.arange(5.0), np.random.default_rng(0))
+        assert seen == [(10,)]
+        np.testing.assert_array_equal(out, expected)
 
 
 class TestNumpyKernels:
     def test_hw_power_matches_definition(self):
-        backend = set_backend("numpy")
+        backend = get_backend()
         table = np.asarray([0.0, 7.0, 10.0, 16.0, 14.0, 18.0])
         values = np.asarray([0, 1, 3, (1 << 64) - 1], dtype=np.uint64)
         kinds = np.asarray([1, 2, 4, 5], dtype=np.int64)
@@ -76,7 +61,7 @@ class TestNumpyKernels:
         )
 
     def test_quantize_clips_and_rounds(self):
-        backend = set_backend("numpy")
+        backend = get_backend()
         lsb, max_code = 0.25, 15
         analog = np.asarray([-1.0, 0.1, 0.125, 3.7, 99.0])
         out = backend.quantize(analog, lsb, max_code)
@@ -84,7 +69,7 @@ class TestNumpyKernels:
         np.testing.assert_allclose(out, [0.0, 0.0, 0.0, 3.75, 3.75])
 
     def test_accumulate_class_stats_matches_bruteforce(self):
-        backend = set_backend("numpy")
+        backend = get_backend()
         rng = np.random.default_rng(5)
         n, m, b = 200, 17, 3
         t = rng.normal(size=(n, m))
@@ -125,12 +110,12 @@ class TestNumpyWindowKernels:
 
     The deep equivalence coverage (hypothesis over the parameter space,
     scalar references, golden digests) lives in
-    ``tests/soc/test_fused_synthesis.py``; here we pin shapes, dtypes,
-    and the registry wiring.
+    ``tests/soc/test_fused_synthesis.py``; here we pin shapes and
+    dtypes.
     """
 
     def test_gather_returns_padded_matrix(self):
-        backend = set_backend("numpy")
+        backend = get_backend()
         stacked, values32, kinds32, los, widths = _window_kernel_case()
         out_values, out_kinds = backend.gather_delayed_windows(
             stacked.positions, values32, kinds32,
@@ -143,7 +128,7 @@ class TestNumpyWindowKernels:
         assert out_kinds.dtype == np.uint8
 
     def test_synthesize_rows_shape_and_padding(self):
-        backend = set_backend("numpy")
+        backend = get_backend()
         rng = np.random.default_rng(3)
         power = rng.uniform(0.0, 40.0, size=(4, 20))
         widths = np.asarray([20, 20, 7, 1], dtype=np.int64)
@@ -160,81 +145,3 @@ class TestNumpyWindowKernels:
         # The width-1 row's replicated samples are constant once the FIR
         # window no longer sees the pulse's leading sample.
         assert out[3, 2] == out[3, 3] == out[3, 4]
-
-
-class TestNumbaKernels:
-    """Numba backend vs the numpy reference (skipped without numba)."""
-
-    @pytest.fixture()
-    def pair(self):
-        pytest.importorskip("numba")
-        numba_backend = set_backend("numba")
-        if numba_backend.name != "numba":  # pragma: no cover
-            pytest.skip("numba import succeeded but backend fell back")
-        return set_backend("numpy"), numba_backend
-
-    def test_hw_power_agrees(self, pair):
-        ref, jit = pair
-        rng = np.random.default_rng(0)
-        table = np.asarray([2.0, 7.0, 10.0, 16.0, 14.0, 18.0])
-        values = rng.integers(0, 1 << 62, size=4096, dtype=np.int64).astype(np.uint64)
-        kinds = rng.integers(0, 6, size=4096, dtype=np.int64)
-        np.testing.assert_allclose(
-            jit.hw_power(table, 1.0, values, kinds),
-            ref.hw_power(table, 1.0, values, kinds),
-        )
-
-    def test_quantize_agrees(self, pair):
-        ref, jit = pair
-        rng = np.random.default_rng(1)
-        analog = rng.normal(20.0, 15.0, size=4096)
-        np.testing.assert_array_equal(
-            jit.quantize(analog, 48.0 / 4095, 4095),
-            ref.quantize(analog, 48.0 / 4095, 4095),
-        )
-
-    def test_accumulate_agrees(self, pair):
-        ref, jit = pair
-        rng = np.random.default_rng(2)
-        t = rng.normal(size=(512, 40))
-        pts = rng.integers(0, 256, size=(512, 4), dtype=np.int64).astype(np.uint8)
-        c_ref = np.zeros((4, 256)); s_ref = np.zeros((4, 256, 40))
-        c_jit = np.zeros((4, 256)); s_jit = np.zeros((4, 256, 40))
-        ref.accumulate_class_stats(c_ref, s_ref, t, pts)
-        jit.accumulate_class_stats(c_jit, s_jit, t, pts)
-        np.testing.assert_array_equal(c_jit, c_ref)
-        np.testing.assert_allclose(s_jit, s_ref, atol=1e-9)
-
-    def test_gather_delayed_windows_agrees(self, pair):
-        ref, jit = pair
-        stacked, values32, kinds32, los, widths = _window_kernel_case()
-        args = (
-            stacked.positions, values32, kinds32, stacked.dummy_values,
-            stacked.dummy_kinds, stacked.dummy_bounds, los, widths,
-        )
-        ref_values, ref_kinds = ref.gather_delayed_windows(*args)
-        jit_values, jit_kinds = jit.gather_delayed_windows(*args)
-        np.testing.assert_array_equal(jit_values, ref_values)
-        np.testing.assert_array_equal(jit_kinds, ref_kinds)
-
-    def test_synthesize_rows_agrees(self, pair):
-        ref, jit = pair
-        rng = np.random.default_rng(9)
-        batch, w_ops, spp, n_out = 6, 25, 2, 40
-        power = rng.uniform(0.0, 40.0, size=(batch, w_ops))
-        widths = rng.integers(1, w_ops + 1, size=batch).astype(np.int64)
-        offsets = rng.integers(0, w_ops * spp, size=batch).astype(np.int64)
-        lengths = rng.integers(0, n_out + 1, size=batch).astype(np.int64)
-        pulse = np.linspace(1.0, 0.55, spp)
-        kernel = np.asarray([0.2, 0.6, 0.2])
-        for noise in (None, rng.standard_normal((batch, 16)).astype(np.float32)):
-            np.testing.assert_array_equal(
-                jit.synthesize_rows(
-                    power, widths, pulse, kernel, offsets, n_out, lengths,
-                    noise, 48.0 / 4095, 4095,
-                ),
-                ref.synthesize_rows(
-                    power, widths, pulse, kernel, offsets, n_out, lengths,
-                    noise, 48.0 / 4095, 4095,
-                ),
-            )

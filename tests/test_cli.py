@@ -282,7 +282,3 @@ class TestCliTvlaParallel:
                 "--batch-size", "4", "--store", store]
         assert main(argv + ["--workers", "1"]) == 2
         assert "serial TraceStore" in capsys.readouterr().err
-
-    def test_rejects_an_unknown_backend(self):
-        with pytest.raises(SystemExit):
-            main(["tvla", "--traces", "4", "--backend", "bogus"])

@@ -155,6 +155,35 @@ class TestResume:
         )
         assert resumed.resumed_from == 64
 
+    def test_explicit_key_other_than_the_store_key_rejected(self, tmp_path):
+        store = TraceStore.create(
+            tmp_path / "s", n_samples=SyntheticSource(KEY).n_samples, key=KEY
+        )
+        other = bytes(b ^ 0xFF for b in KEY)
+        with pytest.raises(ValueError, match="different key"):
+            AttackCampaign(SyntheticSource(KEY), store=store, true_key=other)
+
+    def test_source_with_an_unknown_key_resumes_a_keyed_store(self, tmp_path):
+        source = SyntheticSource(KEY, seed=10)
+        store = TraceStore.create(
+            tmp_path / "s", n_samples=source.n_samples, key=KEY
+        )
+        AttackCampaign(source, store=store, batch_size=16).run(32)
+
+        class KeylessSource:
+            """A device under attack: it captures, but its key is unknown."""
+
+            def __init__(self, inner):
+                self.n_samples = inner.n_samples
+                self.block_size = inner.block_size
+                self.capture = inner.capture
+                self.skip = inner.skip
+
+        unknown = KeylessSource(SyntheticSource(KEY, seed=11))
+        resumed = AttackCampaign(unknown, store=TraceStore.open(tmp_path / "s"))
+        assert resumed.resumed_from == 32
+        assert resumed.true_key is None
+
     def test_resume_continues_the_capture_stream(self, tmp_path):
         """Interrupted + resumed == uninterrupted, trace for trace.
 

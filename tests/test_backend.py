@@ -48,6 +48,18 @@ class TestKernelTable:
         assert seen == [(10,)]
         np.testing.assert_array_equal(out, expected)
 
+    def test_table_is_resolved_once(self):
+        backend_mod._active = None
+        table = get_backend()
+        assert get_backend() is table
+        assert backend_mod._active is table
+
+    def test_environment_does_not_select_kernels(self, monkeypatch, recwarn):
+        monkeypatch.setenv("REPRO_BACKEND", "numba")
+        backend_mod._active = None
+        assert get_backend().name == "numpy"
+        assert len(recwarn) == 0
+
 
 class TestNumpyKernels:
     def test_hw_power_matches_definition(self):

@@ -282,3 +282,19 @@ class TestCliTvlaParallel:
                 "--batch-size", "4", "--store", store]
         assert main(argv + ["--workers", "1"]) == 2
         assert "serial TraceStore" in capsys.readouterr().err
+
+
+class TestCliNoBackendFlag:
+    """The capture kernels have one implementation, so no command selects one."""
+
+    @pytest.mark.parametrize("argv", [
+        ["bench"],
+        ["campaign"],
+        ["profile", "--output", "unused"],
+        ["tvla"],
+    ], ids=["bench", "campaign", "profile", "tvla"])
+    def test_backend_flag_is_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--backend", "numpy"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --backend" in capsys.readouterr().err

@@ -324,8 +324,8 @@ class CryptoLocator:
 
         The default ``windowed`` engine scores standalone zero-padded
         windows exactly as the CNN saw them during training (and exactly as
-        Section III-C describes).  ``dense`` is faster — about 2.5-2.8x on
-        one session, ~7x batched over four (see
+        Section III-C describes).  ``dense`` is faster — about 19x on one
+        session, 20x batched over four (see
         :mod:`repro.core.sliding_window`) — but feeds windows full-trace
         context, which costs accuracy when COs run back to back (see the
         engine ablation benchmark).
@@ -341,7 +341,7 @@ class CryptoLocator:
         """Locate COs in several traces through one batched scoring pass.
 
         With the ``dense`` engine the convolutional trunk runs over a whole
-        batch of (zero-padded) traces at once
+        batch of traces at once
         (:meth:`SlidingWindowClassifier.score_batch`), which is the fast
         path for scenario sweeps; ``windowed`` scores traces independently
         with the training-faithful engine.  ``batch_size`` bounds how many

@@ -12,10 +12,10 @@ Two scoring engines with identical semantics are provided:
   pooling is translation-equivariant: run the convolutional trunk *once*
   over the whole trace (in bounded-memory chunks), then evaluate each
   window's global average with a prefix sum and push only the pooled
-  32-vector through the fully-connected head.  It is measured at about
-  2.5-2.8x faster than ``windowed`` on a single session, and 70 k vs
-  9.9 k samples/s when batched over four sessions
-  (``perfbench/run.py --workload locate-rd4``, 2-CPU machine).  It
+  32-vector through the fully-connected head.  With the locator of
+  ``perfbench/run.py --workload locate-rd4`` (2-CPU container, one BLAS
+  thread) it scores about 540 k samples/s on one 64 k-sample session and
+  580 k batched over four, against 29 k for ``windowed`` (19-20x).  It
   differs from ``windowed`` only at window borders (full-trace context
   instead of per-window zero padding); the test suite bounds the
   difference and the segmentation results agree.
@@ -47,7 +47,11 @@ def _collect_kernel_extent(module) -> int:
 
 
 class SlidingWindowClassifier:
-    """Scores a trace with the trained CNN at a fixed window and stride."""
+    """Scores a trace with the trained CNN at a fixed window and stride.
+
+    The windowed engine runs ``batch_size`` windows per CNN forward; 64
+    keeps one layer's FFT spectra cache-sized (512 ran about 1.4x slower).
+    """
 
     def __init__(
         self,
@@ -56,7 +60,7 @@ class SlidingWindowClassifier:
         stride: int,
         score_mode: str = "margin",
         method: str = "dense",
-        batch_size: int = 512,
+        batch_size: int = 64,
         chunk_size: int = 65_536,
     ) -> None:
         if window < 8:
@@ -113,16 +117,16 @@ class SlidingWindowClassifier:
     def score_batch(self, traces) -> "list[np.ndarray]":
         """Score several traces, reusing the dense trunk across the batch.
 
-        The batch analogue of :meth:`score_trace`: traces (which may have
-        different lengths) are zero-padded to a common length and pushed
-        through the convolutional trunk *together*, chunk by chunk, so the
-        expensive convolutions amortise across the batch; each trace's
-        window means then go through the FC head in one call per chunk.
-        Zero padding is exact for the dense engine — the trunk's
-        convolutions use "same" zero padding, so features inside each
-        trace's valid region match the single-trace computation (up to FFT
-        rounding).  With ``method="windowed"`` the traces are scored
-        independently (that engine is per-window already).
+        The batch analogue of :meth:`score_trace`: chunk by chunk, the
+        traces (which may have different lengths) whose chunk segments end
+        at the same sample go through the convolutional trunk *together*,
+        so the expensive convolutions amortise across the batch; each
+        trace's window means then go through the FC head in one call per
+        chunk.  A trace's segment is never zero-padded to another's length
+        (past the first conv, padding is not zero), so every trace's scores
+        match the single-trace computation up to FFT rounding.  With
+        ``method="windowed"`` the traces are scored independently (that
+        engine is per-window already).
 
         Returns one ``swc`` array per input trace.
         """
@@ -145,10 +149,6 @@ class SlidingWindowClassifier:
         max_windows = max(counts)
         if max_windows == 0:
             return results
-        length = max(t.size for t in traces)
-        padded = np.zeros((len(traces), length), dtype=np.float32)
-        for i, trace in enumerate(traces):
-            padded[i, : trace.size] = trace
         margin = self._margin
         offsets = np.arange(max_windows, dtype=np.int64) * self.stride
         chunk_windows = max(1, self.chunk_size // self.stride)
@@ -157,24 +157,31 @@ class SlidingWindowClassifier:
             span_start = int(batch_offsets[0])
             span_end = int(batch_offsets[-1]) + self.window
             ext_start = max(0, span_start - margin)
-            ext_end = min(length, span_end + margin)
-            rows = [i for i, nw in enumerate(counts) if nw > begin]
-            segment = padded[rows, ext_start:ext_end]
-            features = self._trunk.forward(segment[:, None, :])  # (R, C, len)
-            csum = np.concatenate(
-                [np.zeros((features.shape[0], features.shape[1], 1), dtype=np.float64),
-                 np.cumsum(features, axis=2, dtype=np.float64)],
-                axis=2,
-            )
+            # Traces share a trunk pass only where their segments end at
+            # the same sample: zero padding past a trace's end is exact for
+            # the first conv only, as biases and BatchNorm shifts make the
+            # deeper layers' padding non-zero.
+            groups: dict[int, list[int]] = {}
+            for i, nw in enumerate(counts):
+                if nw > begin:
+                    groups.setdefault(min(traces[i].size, span_end + margin), []).append(i)
             pooled_parts = []
             spans = []
-            for r, i in enumerate(rows):
-                here = min(counts[i], begin + batch_offsets.size) - begin
-                local = batch_offsets[:here] - ext_start
-                pooled = (csum[r][:, local + self.window]
-                          - csum[r][:, local]).T / self.window
-                pooled_parts.append(pooled.astype(np.float32))
-                spans.append((i, here))
+            for ext_end, rows in groups.items():
+                segment = np.stack([traces[i][ext_start:ext_end] for i in rows])
+                features = self._trunk.forward(segment[:, None, :])  # (R, C, len)
+                csum = np.concatenate(
+                    [np.zeros((features.shape[0], features.shape[1], 1), dtype=np.float64),
+                     np.cumsum(features, axis=2, dtype=np.float64)],
+                    axis=2,
+                )
+                for r, i in enumerate(rows):
+                    here = min(counts[i], begin + batch_offsets.size) - begin
+                    local = batch_offsets[:here] - ext_start
+                    pooled = (csum[r][:, local + self.window]
+                              - csum[r][:, local]).T / self.window
+                    pooled_parts.append(pooled.astype(np.float32))
+                    spans.append((i, here))
             logits = self._head.forward(np.concatenate(pooled_parts, axis=0))
             scores = scores_from_logits(logits, self.score_mode)
             cursor = 0

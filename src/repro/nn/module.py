@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["Parameter", "Module", "Sequential"]
+__all__ = ["Parameter", "Module", "Sequential", "forward_pair"]
 
 
 class Parameter:
@@ -52,6 +52,12 @@ class Module:
         :meth:`zero_grad` between optimisation steps.
         """
         raise NotImplementedError
+
+    def folds(self, following: "Module") -> bool:
+        """Whether ``self.forward(x, fold=following)`` computes
+        ``following.forward(self.forward(x))`` in one step; containers
+        ask before each pair of steps (see :func:`forward_pair`)."""
+        return False
 
     # -- tree utilities --------------------------------------------------- #
 
@@ -148,8 +154,15 @@ class Sequential(Module):
         self.steps = list(modules)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        for module in self.steps:
-            x = module.forward(x)
+        steps = self.steps
+        i = 0
+        while i < len(steps):
+            if i + 1 < len(steps) and steps[i].folds(steps[i + 1]):
+                x = steps[i].forward(x, fold=steps[i + 1])
+                i += 2
+            else:
+                x = steps[i].forward(x)
+                i += 1
         return x
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
@@ -162,3 +175,11 @@ class Sequential(Module):
 
     def __getitem__(self, index: int) -> Module:
         return self.steps[index]
+
+
+def forward_pair(first: Module, second: Module, x: np.ndarray) -> np.ndarray:
+    """``second.forward(first.forward(x))``, as one step where ``first``
+    folds ``second`` in (an eval-mode conv and its BatchNorm)."""
+    if first.folds(second):
+        return first.forward(x, fold=second)
+    return second.forward(first.forward(x))

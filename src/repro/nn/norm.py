@@ -52,6 +52,20 @@ class BatchNorm1d(Module):
         y = self.gamma.data[None, :, None] * x_hat + self.beta.data[None, :, None]
         return y.astype(np.float32)
 
+    def fold(self, weight: np.ndarray, bias: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The ``(weight, bias)`` of the conv that this eval-mode layer
+        normalises, with the normalisation folded in.
+
+        Eval mode is the affine map ``y = s * (x - mean) + beta`` with
+        ``s = gamma / sqrt(var + eps)``, so it becomes a conv with
+        ``weight * s`` and ``(bias - mean) * s + beta``.
+        """
+        self._cache = None  # this stands for an eval forward (see forward)
+        scale = self.gamma.data / np.sqrt(self.running_var.astype(np.float64) + self.eps)
+        folded_weight = (weight * scale[:, None, None]).astype(np.float32)
+        folded_bias = ((bias - self.running_mean) * scale + self.beta.data).astype(np.float32)
+        return folded_weight, folded_bias
+
     def backward(self, grad: np.ndarray) -> np.ndarray:
         if self._cache is None:
             raise RuntimeError("backward called before forward (training mode)")

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.nn.layers import Conv1d, ReLU
-from repro.nn.module import Module
+from repro.nn.module import Module, forward_pair
 from repro.nn.norm import BatchNorm1d
 
 __all__ = ["ResidualBlock1d"]
@@ -38,10 +38,10 @@ class ResidualBlock1d(Module):
         self.relu_out = ReLU()
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        branch = self.relu1.forward(self.bn1.forward(self.conv1.forward(x)))
-        branch = self.bn2.forward(self.conv2.forward(branch))
+        branch = self.relu1.forward(forward_pair(self.conv1, self.bn1, x))
+        branch = forward_pair(self.conv2, self.bn2, branch)
         if self.proj_conv is not None:
-            shortcut = self.proj_bn.forward(self.proj_conv.forward(x))
+            shortcut = forward_pair(self.proj_conv, self.proj_bn, x)
         else:
             shortcut = x
         return self.relu_out.forward(branch + shortcut)

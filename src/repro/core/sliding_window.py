@@ -14,8 +14,8 @@ Two scoring engines with identical semantics are provided:
   window's global average with a prefix sum and push only the pooled
   32-vector through the fully-connected head.  With the locator of
   ``perfbench/run.py --workload locate-rd4`` (2-CPU container, one BLAS
-  thread) it scores about 540 k samples/s on one 64 k-sample session and
-  580 k batched over four, against 29 k for ``windowed`` (19-20x).  It
+  thread, median of ten runs) it scores 400 k samples/s batched over
+  four sessions, against 27 k for ``windowed`` (15x).  It
   differs from ``windowed`` only at window borders (full-trace context
   instead of per-window zero padding); the test suite bounds the
   difference and the segmentation results agree.
@@ -50,7 +50,9 @@ class SlidingWindowClassifier:
     """Scores a trace with the trained CNN at a fixed window and stride.
 
     The windowed engine runs ``batch_size`` windows per CNN forward; 64
-    keeps one layer's FFT spectra cache-sized (512 ran about 1.4x slower).
+    keeps one layer's FFT spectra cache-sized.  On the ``locate-rd4``
+    session it beat 512 in ten of ten alternating runs (medians 24 k
+    against 21 k samples/s).
     """
 
     def __init__(

@@ -8,15 +8,15 @@ equivalent implementations, selected by kernel size:
 * **FFT** (overlap-free circular convolution via ``scipy.fft`` with batched
   per-frequency matmuls) for the large kernels the paper uses (size 64).
 
-Eval mode keeps no state for a backward pass and has its own kernels: a
-shift-and-accumulate matmul for small kernels and, for large ones,
+Eval mode keeps no state for a backward pass.  Small kernels run the
+direct path and drop its cache; large ones have their own kernel,
 overlap-save FFT blocks of at most :data:`_BLOCK` samples, so a window is
 one block and a long dense-engine chunk is many, and the weight spectra
 stay block-sized.  An eval-mode ``BatchNorm1d`` that follows the conv is
 folded into its weight and bias (:meth:`Conv1d.folds`).  On the
 repository benchmark's ``locate-rd4`` workload (2-CPU container, one
-BLAS thread, median of five runs) the locator's windowed engine went
-from 12 k to 27 k samples/s and its dense engine from 80 k to 430 k.
+BLAS thread, median of ten runs) the locator's windowed engine went
+from 11 k to 27 k samples/s and its dense engine from 77 k to 400 k.
 
 All paths share exact semantics — stride 1, "same" zero padding
 ``(p_l, p_r) = ((K-1)//2, K-1-(K-1)//2)`` — and the test suite checks them
@@ -51,21 +51,6 @@ _BLOCK = 1024
 
 def _he_std(fan_in: int) -> float:
     return float(np.sqrt(2.0 / fan_in))
-
-
-def _correlate_direct(x: np.ndarray, weight: np.ndarray, pad_left: int) -> np.ndarray:
-    """Eval-mode "same" correlation for small kernels: one matmul per tap."""
-    n = x.shape[2]
-    y = np.matmul(weight[:, :, pad_left], x)
-    for tap in range(weight.shape[2]):
-        shift = tap - pad_left
-        if shift == 0 or abs(shift) >= n:
-            continue
-        if shift > 0:
-            y[:, :, :n - shift] += np.matmul(weight[:, :, tap], x[:, :, shift:])
-        else:
-            y[:, :, -shift:] += np.matmul(weight[:, :, tap], x[:, :, :n + shift])
-    return y
 
 
 def _correlate_fft(x: np.ndarray, weight: np.ndarray, bias: np.ndarray,
@@ -143,14 +128,17 @@ class Conv1d(Module):
         if self.kernel_size > _FFT_KERNEL_THRESHOLD:
             y = self._forward_fft(x)
         else:
-            y = self._forward_direct(x)
+            y = self._forward_direct(x, self.weight.data)
         return (y + self.bias.data[None, :, None]).astype(np.float32)
 
     def folds(self, following: Module) -> bool:
         """Whether ``forward(x, fold=following)`` can stand for
         ``following.forward(self.forward(x))``: both layers in eval mode
-        and ``following`` a ``BatchNorm1d``, which is exactly affine then."""
+        and ``following`` a ``BatchNorm1d`` over this conv's output
+        channels, which is exactly affine then.  A mismatched pair does
+        not fold, so ``following`` still rejects the shape."""
         return (isinstance(following, BatchNorm1d)
+                and following.channels == self.out_channels
                 and not self.training and not following.training)
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
@@ -175,19 +163,20 @@ class Conv1d(Module):
             weight, bias = fold.fold(weight, bias)
         if self.kernel_size > _FFT_KERNEL_THRESHOLD:
             return _correlate_fft(x, weight, bias, self.pad_left)
-        y = _correlate_direct(x, weight, self.pad_left)
+        y = self._forward_direct(x, weight)
+        self._cache = None
         y += bias[None, :, None]
         return y
 
     # -- direct (im2col) path ---------------------------------------------- #
 
-    def _forward_direct(self, x: np.ndarray) -> np.ndarray:
+    def _forward_direct(self, x: np.ndarray, weight: np.ndarray) -> np.ndarray:
         b, c, n = x.shape
         k = self.kernel_size
         padded = np.pad(x, ((0, 0), (0, 0), (self.pad_left, self.pad_right)))
         cols = np.lib.stride_tricks.sliding_window_view(padded, k, axis=2)
         cols2d = np.ascontiguousarray(cols.transpose(0, 2, 1, 3)).reshape(b * n, c * k)
-        w2d = self.weight.data.reshape(self.out_channels, c * k)
+        w2d = weight.reshape(self.out_channels, c * k)
         y = (cols2d @ w2d.T).reshape(b, n, self.out_channels).transpose(0, 2, 1)
         self._cache = ("direct", cols2d, (b, c, n))
         return y

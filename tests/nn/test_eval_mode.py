@@ -101,6 +101,16 @@ class TestBatchNormFold:
         assert not conv.folds(bn)
         assert not conv.eval().folds(ReLU().eval())
 
+    @pytest.mark.parametrize("channels", (1, 3))
+    def test_mismatched_norm_does_not_fold(self, channels, rng):
+        """A norm over another channel count stays a separate step, so
+        the pair still fails with BatchNorm1d's own error."""
+        conv, bn = eval_conv(9, cout=4), BatchNorm1d(channels).eval()
+        assert not conv.folds(bn)
+        net = Sequential(conv, bn)
+        with pytest.raises(ValueError, match="BatchNorm1d expects"):
+            net.forward(rng.normal(0, 1, (2, 3, 20)).astype(np.float32))
+
     def test_training_conv_refuses_to_fold(self, rng):
         conv = Conv1d(1, 2, 3, rng=rng)
         with pytest.raises(ValueError):

@@ -5,16 +5,16 @@ Demonstrates the campaign subsystem end to end on the simulated platform:
 
 1. a fixed-key campaign streams capture batches into a constant-memory
    :class:`~repro.attacks.distinguishers.CpaDistinguisher` accumulator and
-   an on-disk :class:`~repro.campaign.store.TraceStore`, evaluating key
-   ranks at geometric checkpoints and stopping early once every byte holds
-   rank 1;
+   on-disk :class:`~repro.campaign.store.TraceStore` shards under one store
+   root, evaluating key ranks at shard-aligned checkpoints and stopping
+   early once every byte holds rank 1 (``workers=1`` runs the shards
+   inline; more workers change the wall clock, never the ranks);
 2. the process then "crashes" (we simply build a new campaign object) and
-   *resumes* from the half-written store — the persisted chunks are
+   *resumes* from the half-written store root — the persisted shards are
    replayed into a fresh accumulator and capture continues where the
-   store left off;
-3. the recovered correlation statistics are compared against the batch
-   CPA over the store's full contents, showing the streaming path is
-   exact, not approximate.
+   stores left off, mid-shard included;
+3. the recovered key is compared against the batch CPA over every stored
+   trace, showing the streaming path is exact, not approximate.
 
 Memory never grows with the trace count: a million-trace campaign holds
 the same sufficient statistics as this small one.
@@ -31,21 +31,31 @@ import numpy as np
 from repro.attacks import CpaAttack
 from repro.campaign import TraceStore
 from repro.evaluation import format_campaign
-from repro.runtime import AttackCampaign, PlatformSegmentSource
+from repro.runtime import ParallelCampaign, PlatformCampaignSpec
 from repro.soc import SimulatedPlatform
+from repro.soc.platform import PlatformSpec
 
 
-def build_campaign(store_dir: Path, seed: int, aggregate: int) -> AttackCampaign:
+def build_campaign(store_root: Path, args) -> ParallelCampaign:
     """A fresh campaign over (possibly pre-existing) durable storage."""
-    platform = SimulatedPlatform("aes", max_delay=0, seed=seed)
-    source = PlatformSegmentSource(platform, segment_length=1600)
-    store = TraceStore.open_or_create(
-        store_dir, n_samples=source.n_samples,
-        block_size=source.block_size, key=source.true_key,
+    probe = SimulatedPlatform("aes", max_delay=0, seed=args.seed)
+    spec = PlatformCampaignSpec(
+        platform=PlatformSpec(cipher_name="aes", max_delay=0),
+        key=probe.random_key(),
+        segment_length=1600,
     )
-    return AttackCampaign(
-        source, store=store, aggregate=aggregate, rank1_patience=2
+    return ParallelCampaign(
+        spec, seed=args.seed, workers=1, shard_size=args.shard_size,
+        store_root=store_root, aggregate=args.aggregate, rank1_patience=2,
     )
+
+
+def load_store_root(store_root: Path):
+    """Every stored trace, concatenated in shard order."""
+    chunks = [TraceStore.open(manifest.parent).load()
+              for manifest in sorted(store_root.glob("shard-*/manifest.json"))]
+    return (np.concatenate([traces for traces, _ in chunks]),
+            np.concatenate([plaintexts for _, plaintexts in chunks]))
 
 
 def main() -> None:
@@ -54,23 +64,23 @@ def main() -> None:
                         help="total trace budget")
     parser.add_argument("--interrupt-at", type=int, default=120,
                         help="traces captured before the simulated crash")
+    parser.add_argument("--shard-size", type=int, default=64,
+                        help="traces per shard (the checkpoint resolution)")
     parser.add_argument("--aggregate", type=int, default=8)
     parser.add_argument("--seed", type=int, default=3)
     args = parser.parse_args()
 
     with tempfile.TemporaryDirectory() as root:
-        store_dir = Path(root) / "campaign_store"
+        store_root = Path(root) / "campaign_store"
 
         print(f"[1/3] campaign interrupted after {args.interrupt_at} traces ...")
-        first = build_campaign(store_dir, args.seed, args.aggregate)
-        partial = first.run(args.interrupt_at)
+        partial = build_campaign(store_root, args).run(args.interrupt_at)
         print(f"      {partial.summary()}")
-        del first  # the "crash": only the on-disk store survives
+        # the "crash": only the on-disk shard stores survive
 
-        print(f"[2/3] resuming from the store and finishing the attack ...")
-        resumed = build_campaign(store_dir, args.seed, args.aggregate)
-        print(f"      replayed {resumed.resumed_from} stored traces")
-        result = resumed.run(args.traces, verbose=True)
+        print("[2/3] resuming from the store root and finishing the attack ...")
+        result = build_campaign(store_root, args).run(args.traces, verbose=True)
+        print(f"      replayed {result.resumed_from} stored traces")
         print()
         print(format_campaign(result))
         print()
@@ -80,13 +90,13 @@ def main() -> None:
 
         print("[3/3] cross-checking the streaming statistics against the "
               "batch CPA ...")
-        store = TraceStore.open(store_dir)
-        traces, plaintexts = store.load()
+        traces, plaintexts = load_store_root(store_root)
+        assert len(traces) == result.n_traces
         batch_key = CpaAttack(aggregate=args.aggregate).recovered_key(
             traces, plaintexts
         )
         assert batch_key == result.recovered_key
-        print(f"      batch CPA over all {len(store)} stored traces agrees: "
+        print(f"      batch CPA over all {len(traces)} stored traces agrees: "
               f"{batch_key.hex()}")
 
 

@@ -20,7 +20,7 @@ The package is organised in layers:
 * :mod:`repro.runtime` — the batch-first scenario-sweep engine
   (:class:`~repro.runtime.ExperimentEngine` + :class:`~repro.runtime.BatchPlan`)
   driving capture→locate→attack through the batched primitives, plus the
-  resumable streaming :class:`~repro.runtime.AttackCampaign`;
+  resumable sharded :class:`~repro.runtime.ParallelCampaign`;
 * :mod:`repro.config` — per-cipher pipeline parameters mirroring Table I.
 """
 

@@ -10,16 +10,16 @@ Eight commands mirror the attacker workflow on the simulated platform:
 * ``bench``  — sweep scenarios (cipher x RD x interleaving x SNR) through
   the batched :class:`~repro.runtime.ExperimentEngine` and print a
   Table-II-style summary;
-* ``campaign`` — a streaming attack campaign: capture batches flow into a
-  constant-memory online distinguisher (and optionally an on-disk trace
-  store), with geometric key-rank checkpoints and early stopping;
-  re-running with the same ``--store`` resumes where the store left off,
-  ``--workers N`` fans deterministically seeded trace shards out over a
-  process pool (merging the accumulators at every checkpoint), and
-  ``--distinguisher`` picks the attack statistic — first-order ``cpa`` /
-  ``dpa``, ``lra``, the second-order ``cpa2`` that defeats the masked
-  AES target, or the profiled ``template`` / ``nnp`` (which need
-  ``--profile DIR``);
+* ``campaign`` — a streaming attack campaign in deterministically seeded
+  trace shards: capture batches flow into constant-memory online
+  distinguishers (and optionally per-shard on-disk trace stores), merged
+  at shard-aligned key-rank checkpoints with early stopping; re-running
+  with the same ``--store`` resumes where the stores left off,
+  ``--workers N`` runs the shards over a process pool (default 1 inline;
+  the ranks do not depend on N), and ``--distinguisher`` picks the
+  attack statistic — first-order ``cpa`` / ``dpa``, ``lra``, the
+  second-order ``cpa2`` that defeats the masked AES target, or the
+  profiled ``template`` / ``nnp`` (which need ``--profile DIR``);
 * ``profile`` — the profiling phase of a profiled attack: capture
   known-key traces into a store, rank POIs, fit Gaussian templates or
   per-byte NN classifiers, and save a reusable profile directory;
@@ -37,16 +37,15 @@ The capture countermeasures stack via ``--countermeasure`` (``shuffle``,
 ``jitter``/``jitter-N``, comma-separated, on top of ``--rd``) and
 ``--masking-order 2`` for the three-share masked AES datapath.
 
-Sharded runs (``campaign --workers N`` and every ``tvla``) are fault
-tolerant: failed shards retry with exponential backoff (``--max-retries``
-/ ``--retry-backoff``), hung shards are cancelled by the ``--shard-timeout``
+Both sharded commands (``campaign`` and ``tvla``) are fault tolerant:
+failed shards retry with exponential backoff (``--max-retries`` /
+``--retry-backoff``), hung shards are cancelled by the ``--shard-timeout``
 watchdog, and a run whose shards exhaust their retries exits 3 with a
 partial result over the merged prefix (exit 4 when no shard completed at
 all; re-running the same command resumes just the missing work).  A
 ``--store`` captured under another configuration (capture mode,
 countermeasure, seed, key or segment length) exits 2 before any shard
-runs.  ``--status`` prints the campaign journal kept under ``--store``;
-for ``tvla`` the retry flags and ``--status`` need no ``--workers``.
+runs.  ``--status`` prints the campaign journal kept under ``--store``.
 """
 
 from __future__ import annotations
@@ -219,16 +218,15 @@ def _add_fault_tolerance_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--max-retries", type=int, default=None,
         help="failed-shard retry budget before the campaign degrades to a "
-             "partial result (default 2; sharded runs: campaign --workers, "
-             "any tvla)")
+             "partial result (default 2)")
     parser.add_argument(
         "--retry-backoff", type=float, default=None,
         help="base seconds of exponential per-shard retry backoff "
-             "(default 0.5; sharded runs only)")
+             "(default 0.5)")
     parser.add_argument(
         "--shard-timeout", type=float, default=None,
         help="per-shard wall-clock watchdog in seconds; hung shards are "
-             "cancelled and requeued (sharded runs only)")
+             "cancelled and requeued")
     parser.add_argument(
         "--status", action="store_true",
         help="report the campaign journal under --store and exit")
@@ -499,9 +497,9 @@ def _campaign_status(store) -> int:
         journal = CampaignJournal.load(root)
     except FileNotFoundError:
         if (root / "manifest.json").exists():
-            print(f"{store} holds a serial trace store (no journal); "
-                  f"journals are written by sharded runs (campaign "
-                  f"--workers, tvla)", file=sys.stderr)
+            print(f"{store} holds a single serial trace store (no journal), "
+                  f"as written by profile; journals are written by the "
+                  f"sharded campaign and tvla runs", file=sys.stderr)
         else:
             print(f"no campaign journal under {store}", file=sys.stderr)
         return 2
@@ -512,15 +510,17 @@ def _campaign_status(store) -> int:
     return 0
 
 
+def _check_sharding(args) -> bool:
+    """Validate ``--workers``/``--shard-size``; ``False`` means exit 2."""
+    for flag in ("workers", "shard_size"):
+        if getattr(args, flag) < 1:
+            print(f"--{flag.replace('_', '-')} must be >= 1", file=sys.stderr)
+            return False
+    return True
+
+
 def _resolve_fault_tolerance(args) -> tuple[int, float, float | None] | None:
     """Validate the retry flags; ``None`` means reject with exit 2."""
-    if args.workers is None and any(
-        value is not None
-        for value in (args.max_retries, args.retry_backoff, args.shard_timeout)
-    ):
-        print("--max-retries/--retry-backoff/--shard-timeout apply to the "
-              "sharded parallel path; pass --workers", file=sys.stderr)
-        return None
     max_retries = 2 if args.max_retries is None else args.max_retries
     backoff = 0.5 if args.retry_backoff is None else args.retry_backoff
     if max_retries < 0:
@@ -536,16 +536,18 @@ def _resolve_fault_tolerance(args) -> tuple[int, float, float | None] | None:
 
 
 def cmd_campaign(args: argparse.Namespace) -> int:
-    """``repro campaign``: streaming capture→store→accumulate→rank attack."""
-    from repro.campaign import TraceStore
-    from repro.evaluation import format_campaign
-    from repro.runtime.campaign import AttackCampaign, PlatformSegmentSource
+    """``repro campaign``: sharded streaming capture→accumulate→rank attack.
+
+    Always sharded: ``--workers 1`` (the default) runs the shards inline,
+    and ``--store`` is the root of the per-shard stores and the journal.
+    """
+    from repro.runtime.campaign import PlatformSegmentSource
+    from repro.runtime.parallel import ParallelCampaign, PlatformCampaignSpec
     from repro.soc.platform import PlatformSpec
 
     if args.status:
         return _campaign_status(args.store)
-    if args.workers is not None and args.workers < 1:
-        print("--workers must be >= 1", file=sys.stderr)
+    if not _check_sharding(args):
         return 2
     fault_tolerance = _resolve_fault_tolerance(args)
     if fault_tolerance is None:
@@ -569,60 +571,40 @@ def cmd_campaign(args: argparse.Namespace) -> int:
         capture_mode=args.capture_mode, shuffle=shuffle, jitter=jitter,
         masking_order=args.masking_order,
     )
-    platform = platform_spec.build(args.seed)
+    # The key and segment length come from the seed's own platform, so
+    # every shard attacks the same key.
     source = PlatformSegmentSource(
-        platform, segment_length=segment_length, batch_size=args.batch_size
+        platform_spec.build(args.seed), segment_length=segment_length
     )
-    if args.workers is not None:
-        return _run_parallel_campaign(
-            args, source, spec, platform_spec, fault_tolerance
-        )
-    store = None
-    if args.store is not None:
-        from repro.runtime.parallel import is_shard_store_root
-
-        if is_shard_store_root(args.store):
-            print(f"{args.store} holds per-shard stores from a parallel "
-                  f"campaign; resume it with --workers", file=sys.stderr)
-            return 2
-        if not _check_store_config(args.store, args.capture_mode,
-                                   platform.countermeasure_name):
-            return 2
-        try:
-            store = TraceStore.open_or_create(
-                args.store,
-                n_samples=source.n_samples,
-                block_size=source.block_size,
-                key=source.true_key,
-                meta={"cipher": args.cipher, "rd": args.rd,
-                      "seed": args.seed,
-                      "capture_mode": args.capture_mode,
-                      "countermeasure": platform.countermeasure_name},
-            )
-        except ValueError as error:
-            print(str(error), file=sys.stderr)
-            return 2
-        print(f"store: {store.path} ({len(store)} traces on disk)")
-    campaign = AttackCampaign(
-        source,
-        store=store,
+    max_retries, retry_backoff, shard_timeout = fault_tolerance
+    campaign = ParallelCampaign(
+        PlatformCampaignSpec(
+            platform=platform_spec,
+            key=source.true_key,
+            segment_length=source.n_samples,
+            batch_size=args.batch_size,
+        ),
+        seed=args.seed,
+        workers=args.workers,
+        shard_size=args.shard_size,
+        store_root=args.store,
         first_checkpoint=args.first_checkpoint,
         checkpoint_growth=args.growth,
         rank1_patience=args.patience,
         batch_size=args.batch_size,
         distinguisher=spec,
+        max_retries=max_retries,
+        retry_backoff=retry_backoff,
+        shard_timeout=shard_timeout,
     )
-    if campaign.resumed_from:
-        print(f"resumed {campaign.resumed_from} traces from the store")
-    print(f"campaign: {args.cipher} RD-{args.rd}, {spec.name} distinguisher, "
+    print(f"parallel campaign: {args.cipher} RD-{args.rd}, "
+          f"{spec.name} distinguisher, "
+          f"{args.workers} workers x {args.shard_size}-trace shards, "
           f"{source.n_samples}-sample segments, aggregate {spec.aggregate}, "
           f"<= {args.traces} traces")
-    result = campaign.run(args.traces, verbose=True)
-    exit_code = _report_campaign(result)
-    if store is not None:
-        print(f"store now holds {len(store)} traces "
-              f"({store.nbytes() / 1e6:.1f} MB on disk)")
-    return exit_code
+    if args.store is not None:
+        print(f"store root: {args.store} (one trace store per shard)")
+    return _run_sharded(campaign, args, _report_campaign)
 
 
 def cmd_profile(args: argparse.Namespace) -> int:
@@ -833,11 +815,7 @@ def cmd_tvla(args: argparse.Namespace) -> int:
     if args.traces < 2:
         print("--traces must be >= 2 (per population)", file=sys.stderr)
         return 2
-    if args.workers < 1:
-        print("--workers must be >= 1", file=sys.stderr)
-        return 2
-    if args.shard_size < 1:
-        print("--shard-size must be >= 1", file=sys.stderr)
+    if not _check_sharding(args):
         return 2
     fault_tolerance = _resolve_fault_tolerance(args)
     if fault_tolerance is None:
@@ -930,44 +908,6 @@ def _report_campaign(result) -> int:
     return 0 if result.traces_to_rank1 is not None else 1
 
 
-def _run_parallel_campaign(
-    args: argparse.Namespace, source, spec, platform_spec, fault_tolerance
-) -> int:
-    """``repro campaign --workers N``: the sharded process-parallel path."""
-    from repro.runtime.parallel import ParallelCampaign, PlatformCampaignSpec
-
-    max_retries, retry_backoff, shard_timeout = fault_tolerance
-    campaign_spec = PlatformCampaignSpec(
-        platform=platform_spec,
-        key=source.true_key,
-        segment_length=source.n_samples,
-        batch_size=args.batch_size,
-    )
-    campaign = ParallelCampaign(
-        campaign_spec,
-        seed=args.seed,
-        workers=args.workers,
-        shard_size=args.shard_size,
-        store_root=args.store,
-        first_checkpoint=args.first_checkpoint,
-        checkpoint_growth=args.growth,
-        rank1_patience=args.patience,
-        batch_size=args.batch_size,
-        distinguisher=spec,
-        max_retries=max_retries,
-        retry_backoff=retry_backoff,
-        shard_timeout=shard_timeout,
-    )
-    print(f"parallel campaign: {args.cipher} RD-{args.rd}, "
-          f"{spec.name} distinguisher, "
-          f"{args.workers} workers x {args.shard_size}-trace shards, "
-          f"{source.n_samples}-sample segments, aggregate {spec.aggregate}, "
-          f"<= {args.traces} traces")
-    if args.store is not None:
-        print(f"store root: {args.store} (one trace store per shard)")
-    return _run_sharded(campaign, args, _report_campaign)
-
-
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns a process exit code."""
     parser = argparse.ArgumentParser(prog="repro", description=__doc__)
@@ -1024,8 +964,8 @@ def main(argv: list[str] | None = None) -> int:
 
     p_campaign = sub.add_parser(
         "campaign",
-        help="streaming online-distinguisher campaign with an optional "
-             "on-disk store",
+        help="sharded streaming online-distinguisher campaign with an "
+             "optional on-disk store",
     )
     p_campaign.add_argument(
         "--cipher", default="aes",
@@ -1039,7 +979,8 @@ def main(argv: list[str] | None = None) -> int:
     p_campaign.add_argument("--traces", type=int, default=512,
                             help="trace budget (resumed traces included)")
     p_campaign.add_argument("--store", default=None,
-                            help="trace-store directory; reuse to resume")
+                            help="root of the per-shard trace stores and "
+                                 "journal; reuse to resume")
     p_campaign.add_argument("--segment-length", type=int, default=None,
                             help="samples per segment (default: mean CO length)")
     p_campaign.add_argument("--aggregate", type=int, default=8,
@@ -1055,12 +996,16 @@ def main(argv: list[str] | None = None) -> int:
                                  "early stop")
     p_campaign.add_argument("--noise-std", type=float, default=1.0,
                             help="oscilloscope acquisition noise")
-    p_campaign.add_argument("--workers", type=int, default=None,
-                            help="run the sharded process-parallel campaign "
-                                 "with this many workers")
+    p_campaign.add_argument("--workers", type=int, default=1,
+                            help="process-pool width for the shards (default "
+                                 "1 runs them inline); at a fixed "
+                                 "--shard-size the ranks are identical for "
+                                 "any worker count")
     p_campaign.add_argument("--shard-size", type=int, default=1024,
-                            help="traces per parallel shard (seed and "
-                                 "checkpoint granularity)")
+                            help="traces per shard: the unit of parallel "
+                                 "work and seed derivation, and the "
+                                 "checkpoint resolution (rungs are rounded "
+                                 "up to shard boundaries)")
     _add_fault_tolerance_options(p_campaign)
     _add_capture_mode_option(p_campaign)
     _add_countermeasure_options(p_campaign)

@@ -10,9 +10,9 @@ updated chunk-by-chunk; this package holds what they stream from:
   on-disk store (``.npy`` segments + JSON manifest, memory-mapped reads)
   so captured traces survive the process and campaigns can resume.
 
-The :class:`~repro.runtime.campaign.AttackCampaign` orchestrator in
+The sharded :class:`~repro.runtime.parallel.ParallelCampaign` in
 :mod:`repro.runtime` drives capture → store → accumulate → checkpoint on
-top of these pieces.
+top of these pieces, one store per shard.
 """
 
 from repro.campaign.store import (

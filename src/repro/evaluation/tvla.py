@@ -279,11 +279,10 @@ class TvlaCampaign:
     segment_length:
         Samples per stored segment; the fixed platform's empirical mean
         CO length when omitted.
-    store, store_dir:
-        Optional durable trace store — an open
-        :class:`~repro.campaign.store.TraceStore`, or (``store_dir``) a
-        directory path the campaign opens-or-creates itself with the
-        right geometry and :meth:`store_meta`.  Existing content is
+    store_dir:
+        Optional durable trace store: a directory the campaign
+        opens-or-creates with the right geometry and
+        :meth:`store_meta`.  Existing content is
         classified by plaintext (fixed vector or not), replayed into the
         accumulator, and both platform streams are fast-forwarded past
         their share — resuming an interrupted campaign reaches the
@@ -305,15 +304,12 @@ class TvlaCampaign:
         fixed_plaintext: bytes | None = None,
         key: bytes | None = None,
         segment_length: int | None = None,
-        store: TraceStore | None = None,
         store_dir=None,
         batch_size: int = 256,
         nop_header: int = 96,
         threshold: float = TVLA_THRESHOLD,
         replay_limit: int | None = None,
     ) -> None:
-        if store is not None and store_dir is not None:
-            raise ValueError("pass either store or store_dir, not both")
         if batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if replay_limit is not None and replay_limit < 0:
@@ -373,6 +369,7 @@ class TvlaCampaign:
             segment_length = platform.mean_co_samples() - trailer
         self.segment_length = int(segment_length)
         self.accumulator = WelchTAccumulator(threshold=threshold)
+        store = None
         if store_dir is not None:
             store = TraceStore.open_or_create(
                 store_dir,
@@ -385,15 +382,7 @@ class TvlaCampaign:
         self.resumed_from = 0
         self.store_quarantined = 0
         if store is not None:
-            if store.n_samples != self.segment_length:
-                raise ValueError(
-                    f"store holds {store.n_samples}-sample segments, campaign "
-                    f"captures {self.segment_length}"
-                )
-            if store.key is not None and store.key != self.key:
-                raise ValueError(
-                    "store was captured under a different key"
-                )
+            # open_or_create already refused another geometry or key.
             stored_pt = store.meta.get("fixed_plaintext")
             if stored_pt is not None and stored_pt != self.fixed_plaintext.hex():
                 raise ValueError(

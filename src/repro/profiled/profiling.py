@@ -8,7 +8,7 @@ on-disk :class:`~repro.campaign.store.TraceStore` — profile fitting
 replays the store, and profiling runs must be durable — and folds every
 batch into streaming :class:`~repro.profiled.stats.ClassStats` for
 SNR/t-test POI ranking.  Re-running over the same store resumes exactly
-like an attack campaign: persisted chunks are replayed into the
+like an attack-campaign shard: persisted chunks are replayed into the
 statistics and the source is fast-forwarded past them, so an
 interrupted-and-resumed profiling run accumulates exactly the traces an
 uninterrupted one would.
@@ -111,8 +111,8 @@ class ProfilingCampaign:
     def run(self, n_traces: int, verbose: bool = False) -> ProfilingResult:
         """Capture until the store holds ``n_traces`` traces.
 
-        Resumed traces count toward the budget, mirroring
-        :meth:`AttackCampaign.run <repro.runtime.campaign.AttackCampaign.run>`.
+        Resumed traces count toward the budget, as in a resumed
+        :class:`~repro.runtime.parallel.ParallelCampaign`.
         """
         if n_traces < 1:
             raise ValueError("n_traces must be >= 1")

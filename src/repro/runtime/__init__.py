@@ -19,17 +19,16 @@ their sweeps through this engine, so every workload shares the same batched
 capture→locate→attack pipeline.
 
 The streaming layer lives alongside the engine:
-:class:`~repro.runtime.campaign.AttackCampaign` orchestrates resumable
-capture→store→accumulate→checkpoint campaigns over the
-:mod:`repro.campaign` primitives, and
-:meth:`ExperimentEngine.run_campaigns` sweeps them across scenario plans.
-
-:class:`~repro.runtime.parallel.ParallelCampaign` multiplies a campaign
-across CPU cores: the trace budget is cut into deterministically seeded
-shards (:func:`~repro.runtime.parallel.plan_shards`), workers capture and
-accumulate shards in parallel processes, and the parent merges the
-additive sufficient statistics at shard-aligned rank checkpoints —
-bit-identical results regardless of the worker count.
+:class:`~repro.runtime.campaign.AttackCampaign` is the in-memory
+capture→accumulate→checkpoint loop, and
+:class:`~repro.runtime.parallel.ParallelCampaign` is the one durable
+campaign path: the trace budget is cut into deterministically seeded
+shards (:func:`~repro.runtime.parallel.plan_shards`), captured inline
+(``workers=1``) or by a process pool into per-shard
+:mod:`repro.campaign` stores, and the parent merges the additive
+sufficient statistics at shard-aligned rank checkpoints — bit-identical
+results regardless of the worker count.
+:meth:`ExperimentEngine.run_campaigns` sweeps it across scenario plans.
 
 Every sharded fan-out — parallel campaigns, sharded TVLA and GE curves —
 goes through one loop, :func:`~repro.runtime.retry.run_shards`.

@@ -1,10 +1,9 @@
-"""Resumable streaming attack campaigns: capture → store → accumulate → rank.
+"""Streaming attack campaigns: capture → accumulate → rank.
 
 An :class:`AttackCampaign` drives a segment source (typically a
 :class:`PlatformSegmentSource` wrapping a
-:class:`~repro.soc.platform.SimulatedPlatform`) in batches, appends every
-batch to an optional on-disk :class:`~repro.campaign.store.TraceStore`,
-folds it into a :class:`~repro.attacks.distinguishers.CpaDistinguisher`
+:class:`~repro.soc.platform.SimulatedPlatform`) in batches, folds every
+batch into a :class:`~repro.attacks.distinguishers.CpaDistinguisher`
 accumulator, and evaluates key ranks at geometric checkpoints.  The
 campaign stops early once every key byte has held rank 1 for
 ``rank1_patience`` consecutive checkpoints (or, when the true key is
@@ -14,13 +13,13 @@ Compared to re-running the batch CPA at every checkpoint
 (:func:`repro.attacks.key_rank.traces_to_rank1`), the streaming campaign
 touches each trace exactly once: checkpointed rank convergence becomes one
 incremental pass instead of O(checkpoints × full-CPA), and memory stays
-constant in the trace count.  With a store attached the campaign is
-durable — killing the process and constructing a new campaign over the
-same store replays the persisted chunks into a fresh accumulator, fast-
-forwards the source past them (``SegmentSource.skip``, so a seeded
-simulation continues its capture stream rather than repeating it), and
-keeps capturing where the store left off: an interrupted-and-resumed
-campaign accumulates exactly the traces an uninterrupted one would.
+constant in the trace count.
+
+The campaign is purely in memory.  Durable, resumable campaigns run
+sharded (:class:`~repro.runtime.parallel.ParallelCampaign` with a
+``store_root``, inline at ``workers=1``); a serial ``AttackCampaign``
+over :class:`~repro.runtime.parallel.ShardedSegmentSource` is the
+reference they are pinned against.
 """
 
 from __future__ import annotations
@@ -34,7 +33,6 @@ import numpy as np
 
 from repro.attacks.distinguishers import resolve_distinguisher
 from repro.attacks.key_rank import MIN_CPA_TRACES, next_checkpoint
-from repro.campaign import TraceStore
 from repro.soc.platform import SimulatedPlatform
 
 __all__ = [
@@ -61,7 +59,7 @@ class SegmentSource(Protocol):
         plaintexts.
 
         Sources may additionally expose ``skip(count)`` to fast-forward
-        past traces a resumed campaign already replayed from its store —
+        past traces a resumed shard already replayed from its store —
         deterministic (seeded) sources need this so post-resume captures
         continue the stream instead of repeating it.
         """
@@ -106,7 +104,7 @@ class PlatformSegmentSource:
         )
 
     def skip(self, count: int) -> None:
-        """Fast-forward past ``count`` traces a resumed campaign replayed.
+        """Fast-forward past ``count`` traces a resumed shard replayed.
 
         The platform's randomness is one seeded stream consumed in capture
         order, so the only way to reach the state "after the first
@@ -185,18 +183,13 @@ class CampaignResult:
 
 
 class AttackCampaign:
-    """Streaming capture→store→accumulate→checkpoint orchestrator.
+    """Streaming capture→accumulate→checkpoint orchestrator (in memory).
 
     Parameters
     ----------
     source:
         A :class:`SegmentSource`; its ``true_key`` (when known, as in
         simulation) enables rank-based early stopping.
-    store:
-        Optional :class:`TraceStore` for durable, resumable campaigns.
-        Existing content is replayed into the accumulator on construction
-        and new captures are appended; ``None`` runs a pure in-memory
-        stream.
     aggregate:
         Boxcar aggregation width applied by the accumulator (Section
         IV-C); also shrinks the sufficient statistics by the same factor.
@@ -227,7 +220,6 @@ class AttackCampaign:
     def __init__(
         self,
         source: SegmentSource,
-        store: TraceStore | None = None,
         true_key: bytes | None = None,
         aggregate: int = 1,
         first_checkpoint: int = 25,
@@ -243,27 +235,9 @@ class AttackCampaign:
             raise ValueError("rank1_patience must be >= 1")
         if batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if store is not None and store.n_samples != source.n_samples:
-            raise ValueError(
-                f"store holds {store.n_samples}-sample segments, source "
-                f"produces {source.n_samples}"
-            )
-        if store is not None and store.block_size != source.block_size:
-            raise ValueError(
-                f"store holds {store.block_size}-byte plaintexts, source "
-                f"produces {source.block_size}-byte ones"
-            )
         if true_key is None:
             true_key = getattr(source, "true_key", None)
-        if (
-            store is not None and store.key is not None
-            and true_key is not None and store.key != true_key
-        ):
-            raise ValueError(
-                "store was captured under a different key than the source's"
-            )
         self.source = source
-        self.store = store
         self.true_key = true_key
         self.distinguisher_spec, self.accumulator = resolve_distinguisher(
             distinguisher, aggregate=aggregate
@@ -286,20 +260,6 @@ class AttackCampaign:
         self.checkpoint_growth = float(checkpoint_growth)
         self.rank1_patience = int(rank1_patience)
         self.batch_size = int(batch_size)
-        self.resumed_from = 0
-        self.store_quarantined = 0
-        if store is not None:
-            # Quarantine any corrupt/orphaned tail before replay, so a
-            # damaged store resumes (re-capturing the dropped suffix of
-            # its deterministic stream) instead of crashing mid-replay.
-            self.store_quarantined = len(store.recover().quarantined)
-        if store is not None and len(store):
-            for traces, plaintexts in store.iter_chunks(self.batch_size):
-                self.accumulator.update(traces, plaintexts)
-            self.resumed_from = len(store)
-            skip = getattr(source, "skip", None)
-            if skip is not None:
-                skip(self.resumed_from)
 
     # ------------------------------------------------------------------ #
     # checkpoint schedule                                                #
@@ -321,31 +281,16 @@ class AttackCampaign:
     # the campaign loop                                                  #
     # ------------------------------------------------------------------ #
 
-    def run(self, max_traces: int, verbose: bool = False) -> CampaignResult:
-        """Capture until early stop or ``max_traces`` accumulated traces.
-
-        ``max_traces`` counts resumed traces too: resuming a 10 000-trace
-        store with ``max_traces=15000`` captures at most 5 000 new ones.
-        """
+    def run(self, max_traces: int) -> CampaignResult:
+        """Capture until early stop or ``max_traces`` accumulated traces."""
         if max_traces < self._min_traces:
             raise ValueError(f"max_traces must be >= {self._min_traces}")
         records: list[CheckpointRecord] = []
         streak = 0
         capture_seconds = 0.0
         attack_seconds = 0.0
-        n = self.accumulator.n_traces
-
-        # A resumed store may already sit past checkpoints: evaluate the
-        # restored statistics once so early stopping can engage without
-        # waiting for a full new ladder rung.
-        if n >= self.first_checkpoint:
-            begin = time.perf_counter()
-            record = self._evaluate(n)
-            attack_seconds += time.perf_counter() - begin
-            records.append(record)
-            streak = 1 if self._extends_streak(records) else 0
-
-        stopped = streak >= self.rank1_patience
+        n = 0
+        stopped = False
         while n < max_traces and not stopped:
             target = min(self._next_checkpoint(n), max_traces)
             while n < target:
@@ -353,28 +298,18 @@ class AttackCampaign:
                 traces, plaintexts = self.source.capture(min(self.batch_size, target - n))
                 capture_seconds += time.perf_counter() - begin
                 begin = time.perf_counter()
-                if self.store is not None:
-                    self.store.append(traces, plaintexts)
                 n = self.accumulator.update(traces, plaintexts)
                 attack_seconds += time.perf_counter() - begin
             begin = time.perf_counter()
-            record = self._evaluate(n)
+            records.append(evaluate_checkpoint(self.accumulator, self.true_key, n))
             attack_seconds += time.perf_counter() - begin
-            records.append(record)
-            streak = streak + 1 if self._extends_streak(records) else 0
+            streak = streak + 1 if extends_streak(records, self.true_key) else 0
             stopped = streak >= self.rank1_patience
-            if verbose:
-                rank = record.max_rank
-                print(
-                    f"[campaign] {n:>8d} traces: "
-                    f"max rank {rank if rank is not None else '?'}, "
-                    f"streak {streak}/{self.rank1_patience}"
-                )
 
         return CampaignResult(
             records=records,
             n_traces=n,
-            traces_to_rank1=self._traces_to_rank1(records, streak),
+            traces_to_rank1=streak_start(records, self.true_key, streak),
             early_stopped=stopped,
             recovered_key=(
                 self.accumulator.recovered_key()
@@ -382,27 +317,12 @@ class AttackCampaign:
                 else b""
             ),
             true_key=self.true_key,
-            resumed_from=self.resumed_from,
-            store_path=str(self.store.path) if self.store is not None else None,
+            resumed_from=0,
+            store_path=None,
             capture_seconds=capture_seconds,
             attack_seconds=attack_seconds,
             distinguisher=self.accumulator.name,
         )
-
-    # ------------------------------------------------------------------ #
-    # internals                                                          #
-    # ------------------------------------------------------------------ #
-
-    def _evaluate(self, n: int) -> CheckpointRecord:
-        return evaluate_checkpoint(self.accumulator, self.true_key, n)
-
-    def _extends_streak(self, records: list[CheckpointRecord]) -> bool:
-        return extends_streak(records, self.true_key)
-
-    def _traces_to_rank1(
-        self, records: list[CheckpointRecord], streak: int
-    ) -> int | None:
-        return streak_start(records, self.true_key, streak)
 
 
 # ---------------------------------------------------------------------- #

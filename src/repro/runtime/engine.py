@@ -33,13 +33,8 @@ from repro.evaluation.experiments import (
 )
 from repro.evaluation.hits import HitStats, match_hits
 from repro.soc.platform import SessionTrace, SimulatedPlatform
-from repro.campaign import TraceStore
 from repro.runtime.campaign import AttackCampaign, CampaignResult, PlatformSegmentSource
-from repro.runtime.parallel import (
-    ParallelCampaign,
-    PlatformCampaignSpec,
-    is_shard_store_root,
-)
+from repro.runtime.parallel import ParallelCampaign, PlatformCampaignSpec
 from repro.runtime.plan import BatchPlan, ScenarioSpec
 from repro.runtime.retry import run_shards
 from repro.soc.platform import PlatformSpec
@@ -77,7 +72,7 @@ def _ge_repetition(
         batch_size=batch_size if batch_size is not None else 256,
         distinguisher=distinguisher,
     )
-    return campaign.run(max_traces, verbose=False).records
+    return campaign.run(max_traces).records
 
 
 @dataclass
@@ -316,7 +311,7 @@ class ExperimentEngine:
         checkpoint_growth: float = 1.5,
         rank1_patience: int = 2,
         batch_size: int | None = None,
-        workers: int | None = None,
+        workers: int = 1,
         shard_size: int = 1024,
         attack_bytes: int | None = None,
         distinguisher=None,
@@ -324,73 +319,38 @@ class ExperimentEngine:
         """Run one scenario's streaming attack campaign.
 
         Builds the target platform for ``spec`` (cipher, random delay,
-        oscilloscope noise), hands its fixed-key capture path to an
-        :class:`AttackCampaign`, and streams until early stop or
-        ``max_traces``.  With ``store_dir`` the campaign is durable: an
-        existing store at that path is replayed and extended, so the same
-        call resumes an interrupted campaign.
-
-        With ``workers`` the campaign runs as a sharded
-        :class:`~repro.runtime.parallel.ParallelCampaign` instead:
-        ``shard_size``-trace shards with per-shard spawned seeds fan out
-        over a process pool and the parent merges accumulators at
-        shard-aligned checkpoints (``store_dir`` then becomes the root of
-        per-shard stores).  The attack key and segment length are drawn
-        from the scenario platform exactly as in the serial path, so both
-        paths attack the same key.  ``attack_bytes`` optionally reduces
-        the attack to the leading key bytes (parallel path only).
+        oscilloscope noise), draws the attack key and segment length from
+        it, and runs a sharded
+        :class:`~repro.runtime.parallel.ParallelCampaign`:
+        ``shard_size``-trace shards with per-shard spawned seeds, run
+        inline at ``workers=1`` or fanned out over a process pool, merged
+        at shard-aligned checkpoints until early stop or ``max_traces``.
+        With ``store_dir`` the campaign is durable: the directory is the
+        root of per-shard trace stores, and the same call resumes an
+        interrupted campaign.  ``attack_bytes`` optionally reduces the
+        attack to the leading key bytes.
 
         ``distinguisher`` selects the attack statistic (a registry name or
         :class:`~repro.attacks.distinguishers.DistinguisherSpec`); the
         default is the first-order HW CPA with the given ``aggregate``.
         """
         platform = self.platform_for(spec)
-        if workers is not None:
-            campaign_spec = PlatformCampaignSpec(
-                platform=self.platform_spec_for(spec),
-                key=platform.random_key(),
-                segment_length=int(
-                    segment_length if segment_length is not None
-                    else platform.mean_co_samples()
-                ),
-                batch_size=batch_size,
-                attack_bytes=attack_bytes,
-            )
-            campaign = ParallelCampaign(
-                campaign_spec,
-                seed=spec.seed,
-                workers=workers,
-                shard_size=shard_size,
-                store_root=store_dir,
-                aggregate=aggregate,
-                first_checkpoint=first_checkpoint,
-                checkpoint_growth=checkpoint_growth,
-                rank1_patience=rank1_patience,
-                batch_size=batch_size if batch_size is not None else 256,
-                distinguisher=distinguisher,
-            )
-            return campaign.run(max_traces, verbose=self.verbose)
-        source = PlatformSegmentSource(
-            platform, segment_length=segment_length, batch_size=batch_size
+        campaign_spec = PlatformCampaignSpec(
+            platform=self.platform_spec_for(spec),
+            key=platform.random_key(),
+            segment_length=int(
+                segment_length if segment_length is not None
+                else platform.mean_co_samples()
+            ),
+            batch_size=batch_size,
+            attack_bytes=attack_bytes,
         )
-        store = None
-        if store_dir is not None:
-            if is_shard_store_root(store_dir):
-                raise ValueError(
-                    f"{store_dir} holds per-shard stores from a parallel "
-                    f"campaign; resume it with workers=, or point the "
-                    f"serial campaign at a fresh directory"
-                )
-            store = TraceStore.open_or_create(
-                store_dir,
-                n_samples=source.n_samples,
-                block_size=source.block_size,
-                key=source.true_key,
-                meta={"scenario": spec.describe(), "seed": spec.seed},
-            )
-        campaign = AttackCampaign(
-            source,
-            store=store,
+        campaign = ParallelCampaign(
+            campaign_spec,
+            seed=spec.seed,
+            workers=workers,
+            shard_size=shard_size,
+            store_root=store_dir,
             aggregate=aggregate,
             first_checkpoint=first_checkpoint,
             checkpoint_growth=checkpoint_growth,

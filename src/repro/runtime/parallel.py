@@ -19,8 +19,12 @@ seed and the shard index:
   the sufficient statistics back;
 * the parent **merges** accumulators in shard order at every rank-ladder
   checkpoint (checkpoints are aligned to shard boundaries) and applies the
-  same early-stop streak logic as the serial
+  same early-stop streak logic as the in-memory
   :class:`~repro.runtime.campaign.AttackCampaign`.
+
+This is the only durable attack-campaign path: ``workers=1`` runs the
+shards inline over the same per-shard store layout, so a "serial" run is
+simply a one-worker sharded run.
 
 :class:`ShardedSegmentSource` exposes the identical sharded stream as a
 plain serial :class:`~repro.runtime.campaign.SegmentSource`, so a serial
@@ -89,7 +93,6 @@ __all__ = [
     "shard_seed",
     "shard_aligned_checkpoints",
     "run_shard",
-    "is_shard_store_root",
 ]
 
 # SeedSequence spawn-key layout under the campaign seed: key 0 is reserved
@@ -239,6 +242,8 @@ class PlatformCampaignSpec:
     rebuilt per shard from :class:`~repro.soc.platform.PlatformSpec` and
     the shard's child seed.  ``attack_bytes`` optionally reduces the
     attacked key to the leading bytes (see :class:`ReducedKeySource`).
+    Shard stores record :attr:`capture_mode` and :attr:`countermeasure`,
+    so a resume under another configuration is refused.
     """
 
     platform: PlatformSpec
@@ -267,6 +272,11 @@ class PlatformCampaignSpec:
     @property
     def capture_mode(self) -> str:
         return self.platform.capture_mode
+
+    @property
+    def countermeasure(self) -> str:
+        """The platform's combined countermeasure label, e.g. ``RD-0+CJ-10``."""
+        return self.platform.build(0).countermeasure_name
 
     def build_source(self, seed) -> SegmentSource:
         source = PlatformSegmentSource(
@@ -413,18 +423,6 @@ def _recover_shard_dir(store_root, index: int) -> tuple[Path, int]:
     return store_dir, len(store.recover().quarantined)
 
 
-def is_shard_store_root(path) -> bool:
-    """Does ``path`` look like a parallel campaign's per-shard store root?
-
-    Serial campaigns persist one :class:`TraceStore` (a ``manifest.json``
-    directly in the directory); parallel campaigns persist one store per
-    ``shard-NNNNNN`` subdirectory.  Both campaign entry points use this to
-    refuse a store captured by the other mode instead of silently
-    recapturing next to it.
-    """
-    return (Path(path) / "shard-000000" / "manifest.json").exists()
-
-
 def run_shard(
     spec: CampaignSourceSpec,
     shard: ShardSpec,
@@ -458,6 +456,7 @@ def run_shard(
     """
     _, accumulator = resolve_distinguisher(distinguisher, aggregate=aggregate)
     capture_mode = getattr(spec, "capture_mode", "exact")
+    countermeasure = getattr(spec, "countermeasure", None)
     store = None
     replayed = 0
     quarantined = 0
@@ -473,6 +472,7 @@ def run_shard(
                 "start": shard.start,
                 "campaign_seed": shard.campaign_seed,
                 "capture_mode": capture_mode,
+                "countermeasure": countermeasure,
             },
         )
         meta = store.meta
@@ -493,6 +493,14 @@ def run_shard(
                 f"store {store.path} was captured in {stored_mode!r} capture "
                 f"mode; resuming it in {capture_mode!r} would splice two "
                 f"different trace streams"
+            )
+        stored_cm = meta.get("countermeasure")
+        if (len(store) and None not in (stored_cm, countermeasure)
+                and stored_cm != countermeasure):
+            raise ValueError(
+                f"store {store.path} was captured under countermeasure "
+                f"{stored_cm!r}; resuming it under {countermeasure!r} would "
+                f"splice two different trace streams"
             )
         # The store holds a prefix of this shard's seeded stream (possibly
         # a longer one, if a previous run had a larger budget) — replay at
@@ -539,11 +547,11 @@ class ParallelCampaign:
 
     Parameters mirror :class:`~repro.runtime.campaign.AttackCampaign`
     where they overlap; the additions are ``workers`` (pool width; 1 runs
-    the shards inline, useful as a like-for-like serial baseline),
-    ``shard_size`` (traces per shard — the unit of parallel work, seed
-    derivation, and checkpoint alignment) and ``store_root`` (a directory
-    of per-shard trace stores, replacing the serial campaign's single
-    store).
+    the shards inline), ``shard_size`` (traces per shard — the unit of
+    parallel work, seed derivation, and checkpoint alignment, so it also
+    sets the checkpoint resolution) and ``store_root`` (a directory of
+    per-shard trace stores plus the run's ``journal.json``; re-running
+    over it resumes).
 
     For a fixed ``(spec, seed, shard_size)`` the captured trace multiset,
     the merged statistics, and every reported checkpoint rank are
@@ -706,11 +714,14 @@ class ParallelCampaign:
                 "shard_size": self.shard_size,
                 "distinguisher": self.distinguisher_spec.name,
             },
+            # The capture configuration first: a countermeasure also shifts
+            # the derived key, and the error should name the real cause.
             config={
+                "capture_mode": getattr(self.spec, "capture_mode", "exact"),
+                "countermeasure": getattr(self.spec, "countermeasure", None),
                 "n_samples": self.spec.n_samples,
                 "key": self.true_key,
                 "campaign_seed": self.seed,
-                "capture_mode": getattr(self.spec, "capture_mode", "exact"),
             },
             label=f"parallel x{self.workers}",
             verbose=verbose,

@@ -6,7 +6,7 @@ import json
 
 import numpy as np
 import pytest
-from factories import KEY, SyntheticSource, make_chunk
+from factories import SyntheticCampaignSpec, make_chunk
 
 from repro.campaign import (
     CorruptManifestError,
@@ -14,8 +14,9 @@ from repro.campaign import (
     TraceStore,
     atomic_write_json,
 )
-from repro.runtime import AttackCampaign
+from repro.runtime import ParallelCampaign
 from repro.runtime.faults import corrupt_store
+from repro.runtime.journal import CampaignJournal
 
 
 def _store_with(tmp_path, n_shards=3, count=8, samples=16, seed=0):
@@ -151,32 +152,21 @@ class TestCorruptManifest:
         assert issubclass(CorruptManifestError, ValueError)
 
 
-class TestSerialCampaignRecovery:
+class TestCampaignRecovery:
     def test_corrupt_tail_resume_matches_the_uninterrupted_run(self, tmp_path):
-        """A damaged store resumes to the bit-identical final result."""
-        baseline = AttackCampaign(
-            SyntheticSource(KEY, seed=9, noise=0.6),
-            rank1_patience=2, batch_size=32,
-        ).run(256)
+        """A damaged shard store resumes to the bit-identical final result."""
+        spec = SyntheticCampaignSpec(noise=0.6)
+        kwargs = dict(seed=9, workers=1, shard_size=128, rank1_patience=2,
+                      batch_size=32)
+        baseline = ParallelCampaign(spec, **kwargs).run(256)
 
-        store = TraceStore.create(
-            tmp_path / "store", n_samples=40, key=KEY
-        )
-        interrupted = AttackCampaign(
-            SyntheticSource(KEY, seed=9, noise=0.6),
-            store=store, rank1_patience=2, batch_size=32,
-        )
-        interrupted.run(256)
-        corrupt_store(store.path, mode="bitflip", shard=-1)
+        ParallelCampaign(spec, store_root=tmp_path, **kwargs).run(256)
+        corrupt_store(tmp_path / "shard-000001", mode="bitflip", shard=-1)
 
-        resumed_store = TraceStore.open(tmp_path / "store")
-        campaign = AttackCampaign(
-            SyntheticSource(KEY, seed=9, noise=0.6),
-            store=resumed_store, rank1_patience=2, batch_size=32,
-        )
-        assert campaign.store_quarantined == 2
-        assert campaign.resumed_from < 256
-        result = campaign.run(256)
+        result = ParallelCampaign(spec, store_root=tmp_path, **kwargs).run(256)
+        journal = CampaignJournal.load(tmp_path)
+        assert journal.shard_states()[1].get("quarantined")
+        assert result.resumed_from < 256
         assert result.recovered_key == baseline.recovered_key
         assert result.n_traces == baseline.n_traces
         assert [r.ranks for r in result.records][-1] == \

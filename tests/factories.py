@@ -11,10 +11,12 @@ to workers.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
 from repro.attacks.leakage_models import hw_byte
+from repro.campaign import TraceStore
 from repro.ciphers.aes import SBOX
 from repro.soc import PlatformSpec, SimulatedPlatform
 
@@ -54,6 +56,16 @@ def feed_in_chunks(acc, traces, pts, splits):
             acc.update(traces[begin:end], pts[begin:end])
             begin = end
     return acc
+
+
+def load_shard_stores(store_root):
+    """A sharded campaign's stored ``(traces, plaintexts)``, in shard order."""
+    chunks = [
+        TraceStore.open(manifest.parent).load()
+        for manifest in sorted(Path(store_root).glob("shard-*/manifest.json"))
+    ]
+    return (np.concatenate([t for t, _ in chunks]),
+            np.concatenate([p for _, p in chunks]))
 
 
 def make_chunk(rng, count, samples=32, block=16):

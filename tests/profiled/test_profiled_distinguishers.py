@@ -152,35 +152,19 @@ class TestCampaignIntegration:
     def test_campaign_checkpoints_resume_from_a_store(
         self, name, profiles, tmp_path
     ):
-        from repro.campaign import TraceStore
-
         profiles[name].save(tmp_path / name)
         spec = DistinguisherSpec(name=name, profile=str(tmp_path / name))
         source_spec = SyntheticCampaignSpec(key=SMALL_KEY, noise=0.8, samples=40)
-        store_kwargs = dict(
-            n_samples=40, block_size=4, key=SMALL_KEY,
-        )
-        kwargs = dict(checkpoints=[64, 128, 192, 256], batch_size=64,
+        kwargs = dict(seed=9, workers=1, shard_size=64, batch_size=64,
                       rank1_patience=99, distinguisher=spec)
-        first = AttackCampaign(
-            source_spec.build_source(9),
-            store=TraceStore.create(tmp_path / f"{name}-store", **store_kwargs),
-            **kwargs,
-        )
-        first.run(128)
-        resumed = AttackCampaign(
-            source_spec.build_source(9),
-            store=TraceStore.open(tmp_path / f"{name}-store"),
-            **kwargs,
-        )
-        assert resumed.resumed_from == 128
-        result = resumed.run(256)
-        uninterrupted = AttackCampaign(
-            source_spec.build_source(9), **kwargs,
+        store_root = tmp_path / f"{name}-store"
+        ParallelCampaign(source_spec, store_root=store_root, **kwargs).run(128)
+        result = ParallelCampaign(
+            source_spec, store_root=store_root, **kwargs
         ).run(256)
-        # The resumed ladder starts past the resume point; every shared
-        # checkpoint must agree exactly.
-        reference = {r.n_traces: r.ranks for r in uninterrupted.records}
-        assert result.records
-        for record in result.records:
-            assert record.ranks == reference[record.n_traces]
+        assert result.resumed_from == 128
+        uninterrupted = ParallelCampaign(source_spec, **kwargs).run(256)
+        # Every checkpoint of the resumed run must agree exactly.
+        assert [(r.n_traces, r.ranks) for r in result.records] == [
+            (r.n_traces, r.ranks) for r in uninterrupted.records
+        ]

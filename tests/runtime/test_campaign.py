@@ -1,10 +1,16 @@
-"""AttackCampaign: early stopping, resume, platform and engine wiring."""
+"""Attack campaigns: early stopping, sharded resume, platform and engine wiring."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
-from factories import KEY, SyntheticSource, small_platform
+from factories import (
+    KEY,
+    SyntheticCampaignSpec,
+    SyntheticSource,
+    load_shard_stores,
+    small_platform,
+)
 
 from repro.attacks import CpaAttack
 from repro.campaign import TraceStore
@@ -14,7 +20,12 @@ from repro.evaluation import (
     guessing_entropy_curve,
     rank_convergence_curve,
 )
-from repro.runtime import AttackCampaign, ExperimentEngine, PlatformSegmentSource
+from repro.runtime import (
+    AttackCampaign,
+    ExperimentEngine,
+    ParallelCampaign,
+    PlatformSegmentSource,
+)
 from repro.runtime.plan import BatchPlan, ScenarioSpec
 
 
@@ -68,143 +79,105 @@ class TestEarlyStopping:
 
 
 class TestResume:
-    def test_resumes_half_written_store(self, tmp_path):
-        store_dir = tmp_path / "campaign"
-        source = SyntheticSource(KEY, seed=4, noise=2.5)
-        store = TraceStore.create(
-            store_dir, n_samples=source.n_samples, key=KEY
+    """Durable campaigns are sharded: ``ParallelCampaign(workers=1)`` over
+    a ``store_root`` of per-shard stores is the resume path."""
+
+    KWARGS = dict(workers=1, shard_size=32, batch_size=32)
+
+    def _campaign(self, root, spec=None, seed=4, **kwargs):
+        return ParallelCampaign(
+            spec if spec is not None else SyntheticCampaignSpec(noise=2.5),
+            seed=seed, store_root=root, **{**self.KWARGS, **kwargs},
         )
-        interrupted = AttackCampaign(source, store=store, batch_size=32)
-        partial = interrupted.run(70)
+
+    def test_resumes_half_written_store(self, tmp_path):
+        partial = self._campaign(tmp_path, rank1_patience=9).run(70)
         assert not partial.early_stopped
 
-        # a crash mid-append leaves an orphan shard the manifest ignores
-        np.save(store_dir / f"traces-{store.n_shards:06d}.npy",
-                np.zeros((3, source.n_samples)))
+        # a crash mid-append leaves an orphan file the manifest ignores
+        shard = tmp_path / "shard-000002"
+        np.save(shard / f"traces-{TraceStore.open(shard).n_shards:06d}.npy",
+                np.zeros((3, 40)))
 
-        resumed_store = TraceStore.open(store_dir)
-        assert len(resumed_store) == 70
-        fresh_source = SyntheticSource(KEY, seed=5, noise=2.5)
-        campaign = AttackCampaign(
-            fresh_source, store=resumed_store, rank1_patience=2, batch_size=64
-        )
-        assert campaign.resumed_from == 70
-        assert campaign.accumulator.n_traces == 70
-        result = campaign.run(5000)
+        assert len(load_shard_stores(tmp_path)[0]) == 70
+        result = self._campaign(tmp_path, rank1_patience=2).run(5000)
         assert result.resumed_from == 70
         assert result.early_stopped
         assert result.recovered_key == KEY
-        # the store now holds every trace both processes captured
-        assert len(TraceStore.open(store_dir)) == result.n_traces
+        # the stores now hold every trace both processes captured
+        assert len(load_shard_stores(tmp_path)[0]) == result.n_traces
 
     def test_resumed_statistics_match_batch_over_store(self, tmp_path):
-        source = SyntheticSource(KEY, seed=6, noise=0.8)
-        store = TraceStore.create(tmp_path / "s", n_samples=source.n_samples)
-        AttackCampaign(source, store=store, batch_size=16).run(50)
-        campaign = AttackCampaign(
-            SyntheticSource(KEY, seed=7), store=TraceStore.open(tmp_path / "s")
-        )
-        traces, pts = TraceStore.open(tmp_path / "s").load()
+        spec = SyntheticCampaignSpec(noise=0.8)
+        self._campaign(tmp_path, spec, seed=6, rank1_patience=9).run(50)
+        campaign = self._campaign(tmp_path, spec, seed=6, rank1_patience=9)
+        assert campaign.run(50).resumed_from == 50
+        traces, pts = load_shard_stores(tmp_path)
         assert campaign.accumulator.recovered_key() == (
             CpaAttack().recovered_key(traces, pts)
         )
 
-    def test_resumed_past_rank1_stops_without_new_ladder(self, tmp_path):
-        """A store already at rank 1 needs only the patience streak."""
-        source = SyntheticSource(KEY, seed=8, noise=0.4)
-        store = TraceStore.create(tmp_path / "s", n_samples=source.n_samples)
-        first = AttackCampaign(source, store=store, rank1_patience=1,
-                               batch_size=64)
-        done = first.run(5000)
-        assert done.early_stopped
-        resumed = AttackCampaign(
-            SyntheticSource(KEY, seed=9, noise=0.4),
-            store=TraceStore.open(tmp_path / "s"),
-            rank1_patience=1,
-        )
-        result = resumed.run(done.n_traces)  # no budget for new captures
+    def test_resumed_past_rank1_stops_without_capturing(self, tmp_path):
+        """A store already at rank 1 replays to the same early stop."""
+        spec = SyntheticCampaignSpec(noise=0.4)
+        done = self._campaign(tmp_path, spec, seed=8, rank1_patience=1)
+        first = done.run(5000)
+        assert first.early_stopped
+        resumed = self._campaign(tmp_path, spec, seed=8, rank1_patience=1)
+        result = resumed.run(5000)
         assert result.early_stopped
-        assert result.n_traces == done.n_traces
+        assert result.n_traces == result.resumed_from == first.n_traces
+        assert result.capture_seconds == 0.0
 
     def test_store_source_shape_mismatch_rejected(self, tmp_path):
-        store = TraceStore.create(tmp_path / "s", n_samples=99)
+        self._campaign(tmp_path, rank1_patience=9).run(32)
+        wide = SyntheticCampaignSpec(noise=2.5, samples=99)
+        with pytest.raises(ValueError, match="n_samples"):
+            self._campaign(tmp_path, wide).run(64)
+        narrow = SyntheticCampaignSpec(key=KEY[:8], noise=2.5)
         with pytest.raises(ValueError):
-            AttackCampaign(SyntheticSource(KEY), store=store)
-        narrow = TraceStore.create(
-            tmp_path / "n", n_samples=SyntheticSource(KEY).n_samples,
-            block_size=8,
-        )
-        with pytest.raises(ValueError):
-            AttackCampaign(SyntheticSource(KEY), store=narrow)
+            self._campaign(tmp_path, narrow).run(64)
 
     def test_store_captured_under_another_key_rejected(self, tmp_path):
-        first = PlatformSegmentSource(small_platform(seed=1), segment_length=64)
-        store = TraceStore.create(
-            tmp_path / "s", n_samples=64, key=first.true_key
-        )
-        AttackCampaign(first, store=store, batch_size=32,
-                       first_checkpoint=10_000).run(64)
-        second = PlatformSegmentSource(small_platform(seed=2), segment_length=64)
-        assert second.true_key != first.true_key
-        with pytest.raises(ValueError, match="different key"):
-            AttackCampaign(second, store=TraceStore.open(tmp_path / "s"))
-        # the store is untouched, and the right key still resumes it
-        resumed = AttackCampaign(
-            PlatformSegmentSource(small_platform(seed=1), segment_length=64),
-            store=TraceStore.open(tmp_path / "s"),
-        )
+        self._campaign(tmp_path, rank1_patience=9).run(64)
+        other = SyntheticCampaignSpec(key=bytes(b ^ 0xFF for b in KEY),
+                                      noise=2.5)
+        with pytest.raises(ValueError, match="key"):
+            self._campaign(tmp_path, other).run(128)
+        # the stores are untouched, and the right key still resumes them
+        resumed = self._campaign(tmp_path, rank1_patience=9).run(64)
         assert resumed.resumed_from == 64
 
-    def test_explicit_key_other_than_the_store_key_rejected(self, tmp_path):
-        store = TraceStore.create(
-            tmp_path / "s", n_samples=SyntheticSource(KEY).n_samples, key=KEY
-        )
-        other = bytes(b ^ 0xFF for b in KEY)
-        with pytest.raises(ValueError, match="different key"):
-            AttackCampaign(SyntheticSource(KEY), store=store, true_key=other)
-
     def test_source_with_an_unknown_key_resumes_a_keyed_store(self, tmp_path):
-        source = SyntheticSource(KEY, seed=10)
-        store = TraceStore.create(
-            tmp_path / "s", n_samples=source.n_samples, key=KEY
-        )
-        AttackCampaign(source, store=store, batch_size=16).run(32)
+        self._campaign(tmp_path, seed=10, rank1_patience=9).run(32)
 
-        class KeylessSource:
+        class KeylessSpec(SyntheticCampaignSpec):
             """A device under attack: it captures, but its key is unknown."""
 
-            def __init__(self, inner):
-                self.n_samples = inner.n_samples
-                self.block_size = inner.block_size
-                self.capture = inner.capture
-                self.skip = inner.skip
+            @property
+            def true_key(self):
+                return None
 
-        unknown = KeylessSource(SyntheticSource(KEY, seed=11))
-        resumed = AttackCampaign(unknown, store=TraceStore.open(tmp_path / "s"))
+        resumed = self._campaign(tmp_path, KeylessSpec(noise=2.5), seed=10,
+                                 rank1_patience=9).run(32)
         assert resumed.resumed_from == 32
         assert resumed.true_key is None
 
     def test_resume_continues_the_capture_stream(self, tmp_path):
         """Interrupted + resumed == uninterrupted, trace for trace.
 
-        The resume path must fast-forward the (seeded) source past the
-        replayed traces — without it, post-resume captures would duplicate
-        the stored ones and bias the statistics.
+        The resume path must fast-forward each shard's (seeded) source past
+        its replayed traces — without it, post-resume captures would
+        duplicate the stored ones and bias the statistics.
         """
-        kwargs = dict(first_checkpoint=30, batch_size=32)
-        straight_store = TraceStore.create(tmp_path / "a", n_samples=40)
-        straight = SyntheticSource(KEY, seed=11, noise=30.0)  # never converges
-        AttackCampaign(straight, store=straight_store, **kwargs).run(200)
+        spec = SyntheticCampaignSpec(noise=30.0)   # never converges
+        kwargs = dict(seed=11, first_checkpoint=30, rank1_patience=9)
+        self._campaign(tmp_path / "a", spec, **kwargs).run(200)
+        self._campaign(tmp_path / "b", spec, **kwargs).run(70)
+        self._campaign(tmp_path / "b", spec, **kwargs).run(200)
 
-        resumed_store = TraceStore.create(tmp_path / "b", n_samples=40)
-        interrupted = SyntheticSource(KEY, seed=11, noise=30.0)
-        AttackCampaign(interrupted, store=resumed_store, **kwargs).run(70)
-        fresh = SyntheticSource(KEY, seed=11, noise=30.0)  # process restart
-        AttackCampaign(fresh, store=TraceStore.open(tmp_path / "b"),
-                       **kwargs).run(200)
-
-        t_straight, p_straight = TraceStore.open(tmp_path / "a").load()
-        t_resumed, p_resumed = TraceStore.open(tmp_path / "b").load()
+        t_straight, p_straight = load_shard_stores(tmp_path / "a")
+        t_resumed, p_resumed = load_shard_stores(tmp_path / "b")
         np.testing.assert_array_equal(t_straight, t_resumed)
         np.testing.assert_array_equal(p_straight, p_resumed)
 
@@ -277,7 +250,8 @@ class TestEngineIntegration:
         for result in results:
             assert result.recovered_key == result.true_key
             assert result.store_path is not None
-            assert len(TraceStore.open(result.store_path)) == result.n_traces
+            stored, _ = load_shard_stores(result.store_path)
+            assert len(stored) == result.n_traces
         # distinct scenarios landed in distinct stores
         assert len({r.store_path for r in results}) == 2
 

@@ -3,7 +3,7 @@
 The acceptance bar for the pluggable framework: for **every** registered
 distinguisher, the sharded parallel campaign must report per-byte key
 ranks identical to the serial campaign at every shared checkpoint, and a
-store-interrupted campaign must resume to the uninterrupted result.
+store-interrupted sharded campaign must resume to the uninterrupted result.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from factories import (
 )
 
 from repro.attacks.distinguishers import DistinguisherSpec
-from repro.campaign import TraceStore
 from repro.runtime.campaign import AttackCampaign
 from repro.runtime.parallel import ParallelCampaign
 
@@ -97,9 +96,8 @@ class TestParallelMatchesSerial:
         assert solo.recovered_key == fleet.recovered_key
 
 
-def _synthetic_source(masked, seed=23):
-    cls = SyntheticMaskedSource if masked else SyntheticSource
-    return cls(KEY4, seed=seed, samples=24)
+def _synthetic_source():
+    return SyntheticSource(KEY4, seed=23, samples=24)
 
 
 @pytest.mark.parametrize("name", ["cpa2", "lra"])
@@ -110,27 +108,26 @@ def test_store_resume_matches_uninterrupted(tmp_path, name):
         DistinguisherSpec(name="cpa2", **MASKED_WINDOWS)
         if masked else DistinguisherSpec(name="lra")
     )
+    source_spec = (
+        SyntheticMaskedCampaignSpec(key=KEY4, samples=24) if masked
+        else SyntheticCampaignSpec(key=KEY4, samples=24)
+    )
 
-    def build_campaign(store):
+    def build_campaign(store_root=None):
         # Patience beyond the checkpoint count: no early stop, so the first
         # run genuinely interrupts mid-campaign at its 160-trace budget.
-        return AttackCampaign(
-            _synthetic_source(masked), store=store, first_checkpoint=60,
-            rank1_patience=9, batch_size=40, distinguisher=dspec,
+        return ParallelCampaign(
+            source_spec, seed=23, workers=1, shard_size=40,
+            store_root=store_root, first_checkpoint=60, rank1_patience=9,
+            batch_size=40, distinguisher=dspec,
         )
 
-    store = TraceStore.open_or_create(
-        tmp_path / "store", n_samples=24, block_size=len(KEY4), key=KEY4
-    )
-    build_campaign(store).run(160)           # interrupted early
-    resumed_campaign = build_campaign(store)
-    assert resumed_campaign.resumed_from == 160
+    build_campaign(tmp_path).run(160)        # interrupted early
+    resumed_campaign = build_campaign(tmp_path)
     resumed = resumed_campaign.run(400)
+    assert resumed.resumed_from == 160
 
-    straight_campaign = AttackCampaign(
-        _synthetic_source(masked), first_checkpoint=60,
-        rank1_patience=9, batch_size=40, distinguisher=dspec,
-    )
+    straight_campaign = build_campaign()
     uninterrupted = straight_campaign.run(400)
     assert resumed.n_traces == uninterrupted.n_traces
     assert resumed.recovered_key == uninterrupted.recovered_key
@@ -156,13 +153,13 @@ def test_serial_campaign_accepts_name_and_instance():
     from repro.attacks.distinguishers import DpaDistinguisher
 
     result = AttackCampaign(
-        _synthetic_source(False), first_checkpoint=50, rank1_patience=1,
+        _synthetic_source(), first_checkpoint=50, rank1_patience=1,
         batch_size=50, distinguisher="dpa",
     ).run(200)
     assert result.distinguisher == "dpa"
     instance = DpaDistinguisher(aggregate=2)
     campaign = AttackCampaign(
-        _synthetic_source(False), rank1_patience=1, distinguisher=instance,
+        _synthetic_source(), rank1_patience=1, distinguisher=instance,
     )
     assert campaign.accumulator is instance
     assert campaign.aggregate == 2
@@ -171,12 +168,12 @@ def test_serial_campaign_accepts_name_and_instance():
 def test_lra_min_traces_floors_the_ladder():
     """LRA's 11-trace minimum pushes the first checkpoint up."""
     campaign = AttackCampaign(
-        _synthetic_source(False), first_checkpoint=4, rank1_patience=1,
+        _synthetic_source(), first_checkpoint=4, rank1_patience=1,
         distinguisher="lra",
     )
     assert campaign.first_checkpoint == 11
     with pytest.raises(ValueError):
         AttackCampaign(
-            _synthetic_source(False), checkpoints=[4, 8],
+            _synthetic_source(), checkpoints=[4, 8],
             distinguisher="lra",
         )

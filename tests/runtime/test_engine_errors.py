@@ -10,6 +10,7 @@ from repro.attacks.key_rank import (
     geometric_checkpoints,
     next_checkpoint,
 )
+from repro.campaign import TraceStore
 from repro.runtime import AttackCampaign, ExperimentEngine, ScenarioSpec
 
 
@@ -75,44 +76,44 @@ class TestZeroTraceBudgets:
 
 
 class TestEngineParallelWiring:
-    def test_workers_route_to_the_sharded_campaign(self, tmp_path):
+    def test_every_call_runs_the_sharded_campaign(self, tmp_path):
         engine = ExperimentEngine(seed=0)
         spec = ScenarioSpec(cipher="aes", max_delay=0, seed=1001)
-        serial = engine.run_campaign(
-            spec, max_traces=256, segment_length=1600, aggregate=8,
-            rank1_patience=1, batch_size=128,
+        kwargs = dict(max_traces=256, segment_length=1600, aggregate=8,
+                      rank1_patience=1, batch_size=128, shard_size=128)
+        inline = engine.run_campaign(
+            spec, store_dir=tmp_path / "shards", **kwargs
         )
-        parallel = engine.run_campaign(
-            spec, max_traces=256, segment_length=1600, aggregate=8,
-            rank1_patience=1, batch_size=128,
-            workers=1, shard_size=128, store_dir=tmp_path / "shards",
-        )
-        # both paths attack the same scenario key
-        assert parallel.true_key == serial.true_key
-        assert parallel.recovered_key == parallel.true_key
-        assert (tmp_path / "shards" / "shard-000000").exists()
+        pooled = engine.run_campaign(spec, workers=2, **kwargs)
+        assert inline.recovered_key == inline.true_key
+        assert [(r.n_traces, r.ranks) for r in inline.records] == [
+            (r.n_traces, r.ranks) for r in pooled.records
+        ]
+        assert (tmp_path / "shards" / "shard-000000").is_dir()
+        assert (tmp_path / "shards" / "journal.json").is_file()
 
     def test_store_modes_do_not_silently_mix(self, tmp_path):
-        """A serial store refuses workers=, a shard root refuses serial."""
+        """A single serial store is refused; a shard root resumes."""
         engine = ExperimentEngine(seed=0)
         spec = ScenarioSpec(cipher="aes", max_delay=0, seed=1001)
         kwargs = dict(max_traces=128, segment_length=1600, aggregate=8,
-                      rank1_patience=1, batch_size=64)
-        engine.run_campaign(spec, store_dir=tmp_path / "serial", **kwargs)
+                      rank1_patience=1, batch_size=64, shard_size=64)
+        # What `repro profile` (or an older serial campaign) leaves behind.
+        TraceStore.create(tmp_path / "serial", n_samples=1600)
         with pytest.raises(ValueError, match="serial TraceStore"):
-            engine.run_campaign(spec, store_dir=tmp_path / "serial",
-                                workers=1, shard_size=64, **kwargs)
-        engine.run_campaign(spec, store_dir=tmp_path / "shards",
-                            workers=1, shard_size=64, **kwargs)
-        with pytest.raises(ValueError, match="per-shard stores"):
-            engine.run_campaign(spec, store_dir=tmp_path / "shards", **kwargs)
+            engine.run_campaign(spec, store_dir=tmp_path / "serial", **kwargs)
+        first = engine.run_campaign(spec, store_dir=tmp_path / "shards",
+                                    **kwargs)
+        again = engine.run_campaign(spec, store_dir=tmp_path / "shards",
+                                    **kwargs)
+        assert again.resumed_from == first.n_traces
 
     def test_reduced_key_attack_narrows_the_ranks(self):
         engine = ExperimentEngine(seed=0)
         spec = ScenarioSpec(cipher="aes", max_delay=0, seed=1001)
         result = engine.run_campaign(
             spec, max_traces=256, segment_length=1600, aggregate=8,
-            rank1_patience=1, batch_size=128, workers=1, shard_size=128,
+            rank1_patience=1, batch_size=128, shard_size=128,
             attack_bytes=4,
         )
         assert len(result.true_key) == 4

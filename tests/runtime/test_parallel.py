@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 from factories import KEY, SyntheticCampaignSpec
@@ -12,6 +14,7 @@ from repro.campaign import TraceStore
 from repro.runtime import (
     AttackCampaign,
     ParallelCampaign,
+    PlatformCampaignSpec,
     ReducedKeySource,
     ShardedSegmentSource,
     ShardSpec,
@@ -19,6 +22,7 @@ from repro.runtime import (
     shard_aligned_checkpoints,
 )
 from repro.runtime.parallel import run_shard, shard_seed
+from repro.soc.platform import PlatformSpec
 
 SPEC = SyntheticCampaignSpec(key=KEY, noise=0.8, samples=40)
 
@@ -178,6 +182,21 @@ class TestRunShard:
         with pytest.raises(ValueError, match="campaign seed"):
             run_shard(SPEC, imposter, store_root=tmp_path)
 
+    def test_store_from_another_countermeasure_rejected(self, tmp_path):
+        """The worker-side check, for shards dispatched without the
+        parent's root check: the recorded countermeasure must match."""
+
+        @dataclass(frozen=True)
+        class Countermeasured(SyntheticCampaignSpec):
+            countermeasure: str = "RD-0+CJ-10"
+
+        run_shard(Countermeasured(noise=0.8), self.SHARD, store_root=tmp_path)
+        store = TraceStore.open(tmp_path / "shard-000002")
+        assert store.meta["countermeasure"] == "RD-0+CJ-10"
+        with pytest.raises(ValueError, match="countermeasure 'RD-0\\+CJ-10'"):
+            run_shard(Countermeasured(noise=0.8, countermeasure="RD-0+CJ-40"),
+                      self.SHARD, store_root=tmp_path)
+
     def test_oversized_store_replays_only_the_shard_prefix(self, tmp_path):
         """A shrunk budget replays a prefix of the stored shard stream."""
         run_shard(SPEC, self.SHARD, store_root=tmp_path, batch_size=32)
@@ -314,6 +333,16 @@ class TestParallelCampaign:
             ParallelCampaign(SPEC, seed=0, batch_size=0)
         with pytest.raises(ValueError):
             ParallelCampaign(SPEC, seed=0).run(MIN_CPA_TRACES - 1)
+
+
+class TestPlatformCampaignSpec:
+    def test_exposes_the_platform_countermeasure(self):
+        spec = PlatformCampaignSpec(
+            platform=PlatformSpec("aes", max_delay=0, jitter=10),
+            key=KEY, segment_length=64,
+        )
+        assert spec.countermeasure == "RD-0+CJ-10"
+        assert spec.capture_mode == "exact"
 
 
 class TestReducedKeySource:

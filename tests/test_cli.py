@@ -31,7 +31,11 @@ class TestCli:
             main(["campaign", "--cipher", "des"])
 
     def test_campaign_runs_and_resumes(self, tmp_path, capsys):
-        """End-to-end: RD-0 campaign reaches rank 1, then resumes its store."""
+        """End-to-end: RD-0 campaign reaches rank 1, then resumes its store.
+
+        Without --workers the campaign is still sharded: the store is a
+        shard root with a journal that --status reads.
+        """
         store = str(tmp_path / "store")
         argv = ["campaign", "--rd", "0", "--traces", "640",
                 "--segment-length", "1600", "--aggregate", "8",
@@ -40,13 +44,17 @@ class TestCli:
         assert main(argv) == 0
         first = capsys.readouterr().out
         assert "recovered key" in first
+        assert (tmp_path / "store" / "shard-000000").is_dir()
+        assert (tmp_path / "store" / "journal.json").is_file()
         assert main(argv) == 0
         resumed = capsys.readouterr().out
-        assert "resumed" in resumed
+        assert "640 traces (640 resumed)" in resumed
+        assert main(["campaign", "--status", "--store", store]) == 0
 
     def test_campaign_refuses_cross_mode_store_resume(self, tmp_path, capsys):
-        """A store captured in one capture mode cannot be resumed in the
-        other: the streams differ, splicing them would be silent garbage."""
+        """A shard root captured in one capture mode cannot be resumed in
+        the other: the streams differ, splicing them would be silent
+        garbage."""
         store = str(tmp_path / "store")
         argv = ["campaign", "--rd", "0", "--traces", "96",
                 "--segment-length", "600", "--aggregate", "8",

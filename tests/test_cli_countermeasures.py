@@ -84,11 +84,29 @@ class TestStoreConfigurationGuards:
         err = capsys.readouterr().err
         assert "'RD-0'" in err and "SH-20x16" in err
 
+    def test_resume_under_another_jitter_strength_refused(
+        self, tmp_path, capsys
+    ):
+        """Jitter strength leaves key and segment length alone, so only the
+        recorded countermeasure tells the two trace streams apart."""
+        store = str(tmp_path / "store")
+        base = ["campaign", "--rd", "0", "--shard-size", "64",
+                "--workers", "1", "--patience", "9", "--store", store]
+        assert main(base + ["--traces", "128",
+                            "--countermeasure", "jitter-10"]) in (0, 1)
+        capsys.readouterr()
+        assert main(base + ["--traces", "256",
+                            "--countermeasure", "jitter-40"]) == 2
+        captured = capsys.readouterr()
+        assert "countermeasure" in captured.err
+        assert "resumed" not in captured.out
+
     def test_assess_expect_countermeasure_mismatch(self, tmp_path, capsys):
         store = str(tmp_path / "store")
         self._seed_store(store)
         capsys.readouterr()
-        rc = main(["assess", "--store", store,
+        # Each shard store records the countermeasure it was captured under.
+        rc = main(["assess", "--store", str(tmp_path / "store" / "shard-000000"),
                    "--expect-countermeasure", "RD-0+SH-20x16"])
         assert rc == 2
         assert "'RD-0'" in capsys.readouterr().err

@@ -10,10 +10,17 @@ from repro.__main__ import main
 
 
 class TestFlagValidation:
-    def test_retry_flags_without_workers_exit_2(self, tmp_path, capsys):
-        code = main(["campaign", "--traces", "200", "--max-retries", "3"])
-        assert code == 2
-        assert "--workers" in capsys.readouterr().err
+    def test_retry_flags_without_workers_are_accepted(self, capsys):
+        """`repro campaign` is always sharded, so the retry flags apply
+        at the default --workers 1 too."""
+        code = main(["campaign", "--rd", "0", "--traces", "64",
+                     "--segment-length", "600", "--patience", "1",
+                     "--max-retries", "3", "--retry-backoff", "0.1",
+                     "--shard-timeout", "120"])
+        assert code in (0, 1)
+        captured = capsys.readouterr()
+        assert "1 workers x 1024-trace shards" in captured.out
+        assert "--workers" not in captured.err
 
     @pytest.mark.parametrize("flag,value,fragment", [
         ("--max-retries", "-1", ">= 0"),
@@ -42,12 +49,16 @@ class TestStatus:
         assert main(["campaign", "--status", "--store", store]) == 2
         assert "directory does not exist" in capsys.readouterr().err
 
-    def test_status_on_serial_store_points_at_workers(self, tmp_path, capsys):
+    def test_status_on_serial_store_explains_the_missing_journal(
+        self, tmp_path, capsys
+    ):
         store = tmp_path / "store"
         store.mkdir()
         (store / "manifest.json").write_text('{"version": 1, "shards": []}')
         assert main(["campaign", "--status", "--store", str(store)]) == 2
-        assert "serial trace store" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "serial trace store" in err
+        assert "--workers" not in err
 
     def test_status_on_corrupt_journal_says_how_to_reset(
         self, tmp_path, capsys

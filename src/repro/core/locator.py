@@ -324,8 +324,8 @@ class CryptoLocator:
 
         The default ``windowed`` engine scores standalone zero-padded
         windows exactly as the CNN saw them during training (and exactly as
-        Section III-C describes).  ``dense`` is faster — about 15x
-        batched over four sessions (see
+        Section III-C describes).  ``dense`` is faster — about 8x
+        on two CPUs and 15x on one, batched over four sessions (see
         :mod:`repro.core.sliding_window`) — but feeds windows full-trace
         context, which costs accuracy when COs run back to back (see the
         engine ablation benchmark).

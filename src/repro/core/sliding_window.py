@@ -7,21 +7,27 @@ signal ``swc`` (one score per window position) feeds the segmentation stage.
 Two scoring engines with identical semantics are provided:
 
 * ``windowed`` — the literal method: materialise every window, run the CNN
-  on each.  Faithful but does O(N/s) redundant convolution work.
+  on each.  Faithful but does O(N/s) redundant convolution work, spread
+  over every CPU in the process's affinity mask.
 * ``dense`` (default) — exploits that every layer before global average
   pooling is translation-equivariant: run the convolutional trunk *once*
   over the whole trace (in bounded-memory chunks), then evaluate each
   window's global average with a prefix sum and push only the pooled
   32-vector through the fully-connected head.  With the locator of
   ``perfbench/run.py --workload locate-rd4`` (2-CPU container, one BLAS
-  thread, median of ten runs) it scores 400 k samples/s batched over
-  four sessions, against 27 k for ``windowed`` (15x).  It
+  thread, median of twelve runs) it scores 330 k samples/s batched over
+  four sessions on one thread, against 41 k for ``windowed`` on both
+  CPUs (8x; 21 k on one CPU, 15x).  It
   differs from ``windowed`` only at window borders (full-trace context
   instead of per-window zero padding); the test suite bounds the
   difference and the segmentation results agree.
 """
 
 from __future__ import annotations
+
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -46,13 +52,24 @@ def _collect_kernel_extent(module) -> int:
     return extent
 
 
+def _cpu_count() -> int:
+    """CPUs this process may run on (its affinity mask where it has one)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 class SlidingWindowClassifier:
     """Scores a trace with the trained CNN at a fixed window and stride.
 
     The windowed engine runs ``batch_size`` windows per CNN forward; 64
     keeps one layer's FFT spectra cache-sized.  On the ``locate-rd4``
     session it beat 512 in ten of ten alternating runs (medians 24 k
-    against 21 k samples/s).
+    against 21 k samples/s, one thread).  The batches run on every CPU
+    in the process's affinity mask: numpy's FFTs and matrix products
+    release the interpreter lock, and an eval-mode network keeps no
+    per-call state, so threads share it.  Batch boundaries never depend
+    on the thread count, so neither do the scores.
     """
 
     def __init__(
@@ -198,11 +215,35 @@ class SlidingWindowClassifier:
         offsets = self.window_offsets(trace.size)
         scores = np.empty(offsets.size, dtype=np.float64)
         windows_view = np.lib.stride_tricks.sliding_window_view(trace, self.window)
-        for begin in range(0, offsets.size, self.batch_size):
-            batch_offsets = offsets[begin: begin + self.batch_size]
-            batch = windows_view[batch_offsets][:, None, :]
-            logits = self.cnn.logits(np.ascontiguousarray(batch))
-            scores[begin: begin + self.batch_size] = scores_from_logits(
-                logits, self.score_mode
-            )
+        network = self.cnn.network.eval()
+        size = self.batch_size
+        begins = range(0, offsets.size, size)
+        pending = iter(begins)
+        lock = threading.Lock()
+
+        def drain() -> None:
+            while True:
+                with lock:
+                    begin = next(pending, None)
+                if begin is None:
+                    return
+                batch = windows_view[offsets[begin: begin + size]][:, None, :]
+                scores[begin: begin + size] = scores_from_logits(
+                    network.forward(batch), self.score_mode
+                )
+
+        # The calling thread scores batches too: buffers freed on a pool
+        # thread stay in that thread's malloc arena, while the caller's
+        # are reused by whatever runs next (the dense engine, say).  The
+        # pool lives for this call only, so a process forked later (a
+        # shard worker) inherits no pool threads.
+        helpers = min(_cpu_count(), len(begins)) - 1
+        if helpers == 0:
+            drain()
+        else:
+            with ThreadPoolExecutor(helpers) as pool:
+                futures = [pool.submit(drain) for _ in range(helpers)]
+                drain()
+                for future in futures:
+                    future.result()
         return scores

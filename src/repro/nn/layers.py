@@ -8,15 +8,17 @@ equivalent implementations, selected by kernel size:
 * **FFT** (overlap-free circular convolution via ``scipy.fft`` with batched
   per-frequency matmuls) for the large kernels the paper uses (size 64).
 
-Eval mode keeps no state for a backward pass.  Small kernels run the
-direct path and drop its cache; large ones have their own kernel,
-overlap-save FFT blocks of at most :data:`_BLOCK` samples, so a window is
-one block and a long dense-engine chunk is many, and the weight spectra
-stay block-sized.  An eval-mode ``BatchNorm1d`` that follows the conv is
-folded into its weight and bias (:meth:`Conv1d.folds`).  On the
-repository benchmark's ``locate-rd4`` workload (2-CPU container, one
-BLAS thread, median of ten runs) the locator's windowed engine went
-from 11 k to 27 k samples/s and its dense engine from 77 k to 400 k.
+Eval mode keeps no state for a backward pass: an eval forward sets
+nothing on a layer but ``None``, so threads can share one eval network.
+Small kernels run the direct path without its cache; large ones have
+their own kernel, overlap-save FFT blocks of at most :data:`_BLOCK`
+samples, so a window is one block and a long dense-engine chunk is many,
+and the weight spectra stay block-sized.  An eval-mode ``BatchNorm1d``
+that follows the conv is folded into its weight and bias
+(:meth:`Conv1d.folds`).  On the repository benchmark's ``locate-rd4``
+workload (2-CPU container, one BLAS thread, median of twelve runs) the
+locator scores 21 k samples/s per CPU through its windowed engine and
+330 k on one thread through its dense engine.
 
 All paths share exact semantics — stride 1, "same" zero padding
 ``(p_l, p_r) = ((K-1)//2, K-1-(K-1)//2)`` — and the test suite checks them
@@ -38,7 +40,20 @@ from repro.nn.norm import BatchNorm1d
 
 __all__ = ["Conv1d", "Linear", "ReLU", "GlobalAvgPool1d", "Flatten"]
 
-#: Kernel sizes strictly above this use the FFT path.
+#: Kernel sizes strictly above this use the FFT path.  Per-call time in
+#: ms, direct/FFT, at the locator's shapes (one BLAS thread, 2-CPU
+#: container, mean of two medians of 40 calls; training is forward plus
+#: backward on 8 x 512 samples, eval a forward of 64 windows x 464):
+#:
+#:   k               3     5     9    12    13    17    31
+#:   train 16->16  4/8   6/8   8/6  10/7   9/7  11/5  15/7
+#:   train 32->32  6/20  8/22 11/20 13/19 14/21 22/20 36/17
+#:   eval  16->16  7/9   9/11 13/11 15/9  14/8  17/9  35/9
+#:   eval  32->32 19/21 20/21 31/20 41/22 43/24 54/22 81/27
+#:
+#: The crossover moves with mode and width, from k = 9 to k = 17, so no
+#: single threshold wins on every row and 12 stays.  No locator layer has
+#: 1 < k < 63.
 _FFT_KERNEL_THRESHOLD = 12
 
 #: Longest overlap-save block of the eval-mode FFT kernel.  Swept on the
@@ -82,11 +97,15 @@ def _correlate_fft(x: np.ndarray, weight: np.ndarray, bias: np.ndarray,
     wf = np.ascontiguousarray(np.conj(spfft.rfft(taps, axis=2)).transpose(2, 1, 0))
     xf = spfft.rfft(frames, length, axis=3)                          # (B, C, count, F)
     bins = xf.shape[3]
-    xf = xf.transpose(3, 0, 2, 1).reshape(bins, b * count, c)
-    yf = np.matmul(xf, wf).reshape(bins, b, count, o).transpose(1, 3, 2, 0)
-    blocks = spfft.irfft(yf, length, axis=3)[..., :step]             # (B, O, count, step)
+    # Each spectrum is dropped once used: the dense engine's chunk spectra
+    # set its peak memory, and each windowed-engine thread holds its own.
+    yf = np.matmul(xf.transpose(3, 0, 2, 1).reshape(bins, b * count, c), wf)
+    del xf
+    blocks = spfft.irfft(yf.reshape(bins, b, count, o).transpose(1, 3, 2, 0),
+                         length, axis=3)                             # (B, O, count, length)
+    del yf
     y = np.empty((b, o, count, step), dtype=np.float32)
-    np.add(blocks, bias[None, :, None, None], out=y)
+    np.add(blocks[..., :step], bias[None, :, None, None], out=y)
     return y.reshape(b, o, count * step)[:, :, :n]
 
 
@@ -128,8 +147,9 @@ class Conv1d(Module):
         if self.kernel_size > _FFT_KERNEL_THRESHOLD:
             y = self._forward_fft(x)
         else:
-            y = self._forward_direct(x, self.weight.data)
-        return (y + self.bias.data[None, :, None]).astype(np.float32)
+            y, cols2d = self._forward_direct(x, self.weight.data)
+            self._cache = ("direct", cols2d, x.shape)
+        return y + self.bias.data[None, :, None]
 
     def folds(self, following: Module) -> bool:
         """Whether ``forward(x, fold=following)`` can stand for
@@ -152,7 +172,7 @@ class Conv1d(Module):
         else:
             dx = self._backward_direct(grad)
         self._cache = None
-        return dx.astype(np.float32)
+        return dx
 
     # -- eval mode ---------------------------------------------------------- #
 
@@ -163,14 +183,15 @@ class Conv1d(Module):
             weight, bias = fold.fold(weight, bias)
         if self.kernel_size > _FFT_KERNEL_THRESHOLD:
             return _correlate_fft(x, weight, bias, self.pad_left)
-        y = self._forward_direct(x, weight)
-        self._cache = None
+        y, _ = self._forward_direct(x, weight)
         y += bias[None, :, None]
         return y
 
     # -- direct (im2col) path ---------------------------------------------- #
 
-    def _forward_direct(self, x: np.ndarray, weight: np.ndarray) -> np.ndarray:
+    def _forward_direct(self, x: np.ndarray,
+                        weight: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The correlation and its im2col matrix (the training cache)."""
         b, c, n = x.shape
         k = self.kernel_size
         padded = np.pad(x, ((0, 0), (0, 0), (self.pad_left, self.pad_right)))
@@ -178,8 +199,7 @@ class Conv1d(Module):
         cols2d = np.ascontiguousarray(cols.transpose(0, 2, 1, 3)).reshape(b * n, c * k)
         w2d = weight.reshape(self.out_channels, c * k)
         y = (cols2d @ w2d.T).reshape(b, n, self.out_channels).transpose(0, 2, 1)
-        self._cache = ("direct", cols2d, (b, c, n))
-        return y
+        return y, cols2d
 
     def _backward_direct(self, grad: np.ndarray) -> np.ndarray:
         _, cols2d, (b, c, n) = self._cache
@@ -202,23 +222,23 @@ class Conv1d(Module):
         k = self.kernel_size
         length = spfft.next_fast_len(n + 2 * k - 2)
         x_pad = np.pad(x, ((0, 0), (0, 0), (self.pad_left, self.pad_right)))
-        xf = spfft.rfft(x_pad, length, axis=2).astype(np.complex64)            # (B, C, F)
-        w_rev_f = spfft.rfft(self.weight.data[:, :, ::-1], length, axis=2).astype(np.complex64)
+        xf = spfft.rfft(x_pad, length, axis=2)                                  # (B, C, F)
+        w_rev_f = spfft.rfft(self.weight.data[:, :, ::-1], length, axis=2)
         yf = np.matmul(xf.transpose(2, 0, 1), w_rev_f.transpose(2, 1, 0))       # (F, B, O)
         y_full = spfft.irfft(np.ascontiguousarray(yf.transpose(1, 2, 0)), length, axis=2)
         self._cache = ("fft", xf, (b, c, n), length)
-        return y_full[:, :, k - 1: k - 1 + n].astype(np.float32)
+        return y_full[:, :, k - 1: k - 1 + n]
 
     def _backward_fft(self, grad: np.ndarray) -> np.ndarray:
         _, xf, (b, c, n), length = self._cache
         k = self.kernel_size
-        gf = spfft.rfft(grad, length, axis=2).astype(np.complex64)             # (B, O, F)
+        gf = spfft.rfft(grad, length, axis=2)                                   # (B, O, F)
         # dW: cross-correlation of padded input with the output gradient.
         dwf = np.matmul(xf.transpose(2, 1, 0), np.conj(gf).transpose(2, 0, 1))  # (F, C, O)
         dw_full = spfft.irfft(np.ascontiguousarray(dwf.transpose(1, 2, 0)), length, axis=2)
-        self.weight.grad += dw_full[:, :, :k].transpose(1, 0, 2).astype(np.float32)
+        self.weight.grad += dw_full[:, :, :k].transpose(1, 0, 2)
         # dx: convolution of the output gradient with the (unflipped) kernel.
-        wf = spfft.rfft(self.weight.data, length, axis=2).astype(np.complex64)  # (O, C, F)
+        wf = spfft.rfft(self.weight.data, length, axis=2)                       # (O, C, F)
         dxf = np.matmul(gf.transpose(2, 0, 1), wf.transpose(2, 0, 1))           # (F, B, C)
         dx_full = spfft.irfft(np.ascontiguousarray(dxf.transpose(1, 2, 0)), length, axis=2)
         return dx_full[:, :, self.pad_left: self.pad_left + n]
@@ -270,12 +290,12 @@ class ReLU(Module):
             self._mask = None
             return np.maximum(x, np.float32(0))
         self._mask = x > 0
-        return np.where(self._mask, x, 0).astype(np.float32)
+        return np.where(self._mask, x, np.float32(0))
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         if self._mask is None:
             raise RuntimeError("backward called before forward")
-        dx = np.where(self._mask, grad, 0).astype(np.float32)
+        dx = np.where(self._mask, grad, np.float32(0))
         self._mask = None
         return dx
 
@@ -290,19 +310,19 @@ class GlobalAvgPool1d(Module):
 
     def __init__(self) -> None:
         super().__init__()
-        self._n: int = 0
+        self._n: int | None = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         if x.ndim != 3:
             raise ValueError(f"GlobalAvgPool1d expects (B, C, N), got {x.shape}")
-        self._n = x.shape[2]
-        return x.mean(axis=2).astype(np.float32)
+        self._n = x.shape[2] if self.training else None
+        return x.mean(axis=2)
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
-        if self._n == 0:
+        if self._n is None:
             raise RuntimeError("backward called before forward")
-        dx = np.repeat(grad[:, :, None] / self._n, self._n, axis=2).astype(np.float32)
-        self._n = 0
+        dx = np.repeat(grad[:, :, None] / self._n, self._n, axis=2)
+        self._n = None
         return dx
 
 

@@ -39,8 +39,8 @@ class BatchNorm1d(Module):
             mean = x.mean(axis=(0, 2))
             var = x.var(axis=(0, 2))
             m = self.momentum
-            self.running_mean = ((1 - m) * self.running_mean + m * mean).astype(np.float32)
-            self.running_var = ((1 - m) * self.running_var + m * var).astype(np.float32)
+            self.running_mean = (1 - m) * self.running_mean + m * mean
+            self.running_var = (1 - m) * self.running_var + m * var
         else:
             mean = self.running_mean
             var = self.running_var
@@ -49,8 +49,7 @@ class BatchNorm1d(Module):
         x_hat = (x - mean[None, :, None]) * inv_std[None, :, None]
         if self.training:
             self._cache = (x_hat, inv_std)
-        y = self.gamma.data[None, :, None] * x_hat + self.beta.data[None, :, None]
-        return y.astype(np.float32)
+        return self.gamma.data[None, :, None] * x_hat + self.beta.data[None, :, None]
 
     def fold(self, weight: np.ndarray, bias: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The ``(weight, bias)`` of the conv that this eval-mode layer
@@ -81,4 +80,4 @@ class BatchNorm1d(Module):
             m * dx_hat - sum_dx_hat - x_hat * sum_dx_hat_xhat
         )
         self._cache = None
-        return dx.astype(np.float32)
+        return dx

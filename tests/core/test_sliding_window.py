@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
+from repro.core import sliding_window
 from repro.core.model import LocatorCNN, build_locator_cnn
 from repro.core.sliding_window import SlidingWindowClassifier
 
@@ -167,6 +172,93 @@ class TestScoreBatch:
             classifier.score_batch([np.zeros((2, 100), dtype=np.float32)])
 
 
+class TestWindowedThreads:
+    """The windowed engine scores its fixed batches on every CPU of the
+    affinity mask; the scores must not depend on how many there are."""
+
+    #: Windows of 64 samples every 4, in the default batches of 64: three
+    #: full batches and a partial one of 17; two batches (fewer than the
+    #: threads); one partial batch.
+    WINDOW_COUNTS = (209, 100, 7)
+
+    def _scores(self, cnn, trace, threads, monkeypatch, batch_size=64):
+        monkeypatch.setattr(sliding_window, "_cpu_count", lambda: threads)
+        classifier = SlidingWindowClassifier(cnn, 64, 4, method="windowed",
+                                             batch_size=batch_size)
+        return classifier.score_trace(trace)
+
+    @pytest.mark.parametrize("windows", WINDOW_COUNTS)
+    def test_scores_identical_for_any_thread_count(self, cnn, rng, windows,
+                                                   monkeypatch):
+        trace = rng.normal(0, 1, 64 + 4 * (windows - 1)).astype(np.float32)
+        serial = self._scores(cnn, trace, 1, monkeypatch)
+        assert serial.size == windows
+        for threads in (2, 4):
+            np.testing.assert_array_equal(
+                self._scores(cnn, trace, threads, monkeypatch), serial)
+
+    def test_threaded_scores_match_per_batch_forwards(self, cnn, rng, monkeypatch):
+        """Each batch's scores are the network's own output on it."""
+        trace = rng.normal(0, 1, 64 + 4 * 208).astype(np.float32)
+        scores = self._scores(cnn, trace, 4, monkeypatch)
+        windows = np.lib.stride_tricks.sliding_window_view(trace, 64)[::4]
+        for begin in range(0, windows.shape[0], 64):
+            logits = cnn.network.forward(
+                np.ascontiguousarray(windows[begin: begin + 64, None, :]))
+            np.testing.assert_array_equal(scores[begin: begin + 64],
+                                          logits[:, 1] - logits[:, 0])
+
+    def test_no_thread_outlives_the_call(self, cnn, rng, monkeypatch):
+        trace = rng.normal(0, 1, 64 + 4 * 208).astype(np.float32)
+        before = threading.active_count()
+        self._scores(cnn, trace, 4, monkeypatch)
+        assert threading.active_count() == before
+
+    def test_many_threads_with_fast_switching(self, cnn, rng, monkeypatch):
+        """Eight threads sharing 14 batches, switching every microsecond:
+        every batch is scored exactly once."""
+        trace = rng.normal(0, 1, 64 + 4 * 208).astype(np.float32)
+        serial = self._scores(cnn, trace, 1, monkeypatch, batch_size=16)
+        forward = cnn.network.forward
+        sizes = []
+        monkeypatch.setattr(cnn.network, "forward",
+                            lambda x: sizes.append(x.shape[0]) or forward(x))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threaded = self._scores(cnn, trace, 8, monkeypatch, batch_size=16)
+        finally:
+            sys.setswitchinterval(interval)
+        np.testing.assert_array_equal(threaded, serial)
+        assert sorted(sizes) == [1] + [16] * 13
+
+    def test_concurrent_eval_forwards_match_serial(self, cnn, rng):
+        """Eval forwards keep no per-call state, so threads may share
+        one network."""
+        inputs = [rng.normal(0, 1, (8, 1, 64 + 16 * i)).astype(np.float32)
+                  for i in range(8)]
+        network = cnn.network.eval()
+        serial = [network.forward(x) for x in inputs]
+        start = threading.Barrier(4, timeout=60)
+
+        def run(indices):
+            start.wait()
+            return [network.forward(inputs[i]) for i in indices for _ in range(3)]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(4) as pool:
+                results = list(pool.map(run, [range(i, 8, 4) for i in range(4)],
+                                        timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        for i, outputs in enumerate(results):
+            expected = [serial[j] for j in range(i, 8, 4) for _ in range(3)]
+            for got, want in zip(outputs, expected):
+                np.testing.assert_array_equal(got, want)
+
+
 class TestEnginesOnFftPath(TestEngines):
     """The engine tests on the kernel-63 network (the FFT conv path)."""
 
@@ -177,6 +269,14 @@ class TestEnginesOnFftPath(TestEngines):
 
 class TestScoreBatchOnFftPath(TestScoreBatch):
     """The batch tests on the kernel-63 network (the FFT conv path)."""
+
+    @pytest.fixture
+    def cnn(self, fft_cnn):
+        return fft_cnn
+
+
+class TestWindowedThreadsOnFftPath(TestWindowedThreads):
+    """The thread tests on the kernel-63 network (the FFT conv path)."""
 
     @pytest.fixture
     def cnn(self, fft_cnn):

@@ -7,7 +7,15 @@ import numpy as np
 import pytest
 
 from repro.core.model import build_locator_cnn
-from repro.nn import BatchNorm1d, Conv1d, Linear, ReLU, ResidualBlock1d, Sequential
+from repro.nn import (
+    BatchNorm1d,
+    Conv1d,
+    GlobalAvgPool1d,
+    Linear,
+    ReLU,
+    ResidualBlock1d,
+    Sequential,
+)
 from repro.nn.layers import _BLOCK, _FFT_KERNEL_THRESHOLD
 
 
@@ -190,6 +198,14 @@ class TestEvalState:
         with pytest.raises(RuntimeError):
             layer.backward(np.ones((3, 2), dtype=np.float32))
 
+    def test_pool_backward_after_eval_forward_raises(self, rng):
+        pool = GlobalAvgPool1d()
+        x = rng.normal(0, 1, (2, 3, 7)).astype(np.float32)
+        pool.forward(x)
+        pool.eval().forward(x)
+        with pytest.raises(RuntimeError):
+            pool.backward(np.ones((2, 3), dtype=np.float32))
+
     def test_folded_norm_backward_raises(self, rng):
         conv, bn = Conv1d(1, 2, 63, rng=rng), BatchNorm1d(2)
         x = rng.normal(0, 1, (2, 1, 80)).astype(np.float32)
@@ -215,5 +231,5 @@ class TestEvalState:
         net.forward(x)                         # training: caches filled
         net.eval().forward(x)
         for module in _modules(net):
-            for attr in ("_cache", "_mask", "_x"):
+            for attr in ("_cache", "_mask", "_x", "_n"):
                 assert getattr(module, attr, None) is None, (type(module).__name__, attr)
